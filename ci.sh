@@ -54,5 +54,11 @@ cargo test -q --offline -p rnl --test mesh
 # `cargo run -p rnl-bench --release --bin bench -- --out .`).
 cargo run -q --offline --release -p rnl-bench --bin bench -- --selftest
 cargo run -q --offline --release -p rnl-bench --bin bench -- --check --tolerance 5
+# Real-binary smoke: five seconds of 64 B frames through the release
+# `routeserver` over loopback TCP. Only the exit code gates — the
+# harness exits non-zero when a frame is corrupt, reordered, duplicated
+# or missing, an API op fails, or a child dies; the wall-clock numbers
+# it prints are report-only (this host is shared).
+bash wallbench/run.sh --workload relay_small --seed 1 --seconds 5 --trace 0
 
 echo "ci: all checks passed"

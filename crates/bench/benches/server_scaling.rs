@@ -16,9 +16,9 @@
 //! NOTE: on a single-core host (such as the container this repository
 //! was developed in) the shard threads serialize, so both curves grow
 //! linearly and the comparison degenerates to "equal total work, no
-//! contention penalty". The shards' isolation and aggregate-stat
-//! correctness are still exercised (see `rnl_server::shard` tests); the
-//! wall-clock speedup needs real cores.
+//! contention penalty". The per-user servers are separate values with
+//! no shared state, so isolation holds by construction; the wall-clock
+//! speedup needs real cores.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rnl_bench::{bench_frame, MultiRelayRig, RelayRig};

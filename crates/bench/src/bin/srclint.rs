@@ -21,6 +21,7 @@ use std::process::ExitCode;
 /// Files whose non-test code must stay panic-free.
 const HOT_PATHS: &[&str] = &[
     "crates/server/src/lib.rs",
+    "crates/server/src/relay.rs",
     "crates/server/src/journal.rs",
     "crates/server/src/overload.rs",
     "crates/server/src/snapshot.rs",

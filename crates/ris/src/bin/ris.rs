@@ -59,7 +59,7 @@ fn main() {
     // ride out, not a fatal error.
     let mut ris = Ris::new(&config.pc_name, Box::new(ClosedTransport));
     ris.set_compression(config.compression);
-    let devices = config.build_devices(1).unwrap_or_else(|e| {
+    let devices = config.build_devices().unwrap_or_else(|e| {
         eprintln!("ris: {e}");
         std::process::exit(2);
     });

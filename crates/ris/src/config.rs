@@ -10,6 +10,7 @@
 //! pc-name lab-pc-1
 //! server 127.0.0.1:4510
 //! compression on
+//! base-device-num 1
 //!
 //! # one line per device this PC fronts
 //! device host s1 ip=10.0.0.1/24 gateway=10.0.0.254 desc="server s1"
@@ -20,7 +21,8 @@
 //!
 //! `desc` values may be double-quoted to contain spaces. Device numbers
 //! (MAC seeds) are assigned sequentially from `base-device-num`
-//! (default 1).
+//! (default 1); give each `ris` process of one lab a different base or
+//! their devices mint identical MACs.
 
 use std::net::SocketAddr;
 
@@ -37,6 +39,8 @@ pub struct RisConfig {
     pub pc_name: String,
     pub server: SocketAddr,
     pub compression: bool,
+    /// Device number (MAC seed) of the first device.
+    pub base_device_num: u32,
     pub devices: Vec<DeviceSpec>,
 }
 
@@ -105,6 +109,7 @@ impl RisConfig {
         let mut pc_name = None;
         let mut server = None;
         let mut compression = false;
+        let mut base_device_num = 1;
         let mut devices = Vec::new();
 
         for (idx, raw) in text.lines().enumerate() {
@@ -138,6 +143,14 @@ impl RisConfig {
                 }
                 "compression" => {
                     compression = matches!(tokens.get(1).map(String::as_str), Some("on" | "true"));
+                }
+                "base-device-num" => {
+                    let num = tokens
+                        .get(1)
+                        .ok_or_else(|| err("base-device-num needs a number".into()))?;
+                    base_device_num = num
+                        .parse()
+                        .map_err(|_| err(format!("bad base-device-num {num:?}")))?;
                 }
                 "device" => {
                     let kind = match tokens.get(1).map(String::as_str) {
@@ -202,17 +215,18 @@ impl RisConfig {
                 message: "missing server".into(),
             })?,
             compression,
+            base_device_num,
             devices,
         })
     }
 
     /// Instantiate the configured devices, numbering MAC seeds from
-    /// `base_device_num`.
-    pub fn build_devices(&self, base_device_num: u32) -> Result<Vec<Box<dyn Device>>, ConfigError> {
+    /// `base-device-num`.
+    pub fn build_devices(&self) -> Result<Vec<Box<dyn Device>>, ConfigError> {
         self.devices
             .iter()
             .enumerate()
-            .map(|(i, spec)| spec.build(base_device_num + i as u32 * 10))
+            .map(|(i, spec)| spec.build(self.base_device_num.wrapping_add(i as u32 * 10)))
             .collect()
     }
 }
@@ -289,12 +303,50 @@ device traffgen g1
     #[test]
     fn builds_devices() {
         let cfg = RisConfig::parse(SAMPLE).unwrap();
-        let devices = cfg.build_devices(100).unwrap();
+        let devices = cfg.build_devices().unwrap();
         assert_eq!(devices.len(), 4);
         assert_eq!(devices[0].model(), "Linux Server");
         assert_eq!(devices[1].num_ports(), 4);
         assert_eq!(devices[2].model(), "Catalyst 6500");
         assert_eq!(devices[3].model(), "IXIA Traffic Generator");
+    }
+
+    #[test]
+    fn base_device_num_seeds_the_macs() {
+        let text = |base: &str| {
+            format!(
+                "pc-name x\nserver 1.2.3.4:1\n{base}\
+                 device host h1 ip=10.0.0.1/24\ndevice host h2 ip=10.0.0.2/24\n"
+            )
+        };
+        // A host's MAC is the source address of the ARP its ping emits.
+        let macs = |cfg: &RisConfig| -> Vec<Vec<u8>> {
+            let mut devices = cfg.build_devices().unwrap();
+            devices
+                .iter_mut()
+                .map(|d| {
+                    d.console("ping 10.0.0.9 count 1", Instant::EPOCH);
+                    d.tick(Instant::EPOCH)[0].frame[6..12].to_vec()
+                })
+                .collect()
+        };
+        // Default 1: what the binary hard-coded before the line parsed.
+        let default = RisConfig::parse(&text("")).unwrap();
+        assert_eq!(default.base_device_num, 1);
+        let explicit = RisConfig::parse(&text("base-device-num 1\n")).unwrap();
+        assert_eq!(macs(&default), macs(&explicit));
+        // A second RIS of the same lab picks another base: no MAC in
+        // common with the first.
+        let other = RisConfig::parse(&text("base-device-num 101\n")).unwrap();
+        assert_eq!(other.base_device_num, 101);
+        let first = macs(&default);
+        for mac in macs(&other) {
+            assert!(!first.contains(&mac), "duplicate {mac:02x?}");
+        }
+        let err = RisConfig::parse(&text("base-device-num lots\n")).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("lots"));
+        assert!(RisConfig::parse(&text("base-device-num\n")).is_err());
     }
 
     #[test]

@@ -134,14 +134,6 @@ pub trait Durability: Send {
     fn flush(&mut self) -> Result<(), JournalError> {
         Ok(())
     }
-
-    /// A second handle onto the same backing store, for recovering a
-    /// server whose original journal handle was lost with the server
-    /// (e.g. a panicked shard thread). `None` when the backend cannot
-    /// be reattached; callers then treat the state as lost.
-    fn reopen(&self) -> Option<Box<dyn Durability>> {
-        None
-    }
 }
 
 /// When a [`FileJournal`] pushes appended records to stable storage.
@@ -349,10 +341,6 @@ impl Durability for MemJournal {
     fn arm_crash(&mut self, point: Option<CrashPoint>) {
         self.crash = point;
     }
-
-    fn reopen(&self) -> Option<Box<dyn Durability>> {
-        Some(Box::new(MemJournal::attached(self.store())))
-    }
 }
 
 /// An on-disk [`Durability`] backend for the `routeserver` binary:
@@ -526,12 +514,6 @@ impl Durability for FileJournal {
         }
         self.dirty = false;
         Ok(())
-    }
-
-    fn reopen(&self) -> Option<Box<dyn Durability>> {
-        let mut journal = FileJournal::open(self.dir.clone()).ok()?;
-        journal.set_fsync_policy(self.fsync);
-        Some(Box::new(journal))
     }
 }
 

@@ -28,6 +28,7 @@ pub mod lint;
 pub mod matrix;
 pub mod mesh;
 pub mod overload;
+mod relay;
 pub mod reserve;
 pub mod shard;
 pub mod snapshot;
@@ -35,11 +36,11 @@ pub mod web;
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use rnl_l1switch::{L1Output, L1Switch, PortIndexer, PortTarget};
+use rnl_l1switch::{L1Switch, PortIndexer};
 use rnl_net::time::{Duration, Instant};
 use rnl_obs::{
     Counter, EventJournal, FlightRecorder, FrameEvent, Gauge, Histogram, Hop, MetricsRegistry,
-    MissReason, PerfPoint, PerfScope, Quantile, SlowOp, Span, TraceId, LATENCY_BUCKETS_US,
+    MissReason, PerfPoint, Quantile, SlowOp, Span, TraceId, LATENCY_BUCKETS_US,
 };
 use rnl_tunnel::compress::{CompressError, Compressor, Decompressor};
 use rnl_tunnel::msg::{Assignment, MeshOffer, Msg, PortId, RouterId, SessionEpoch};
@@ -339,10 +340,6 @@ pub struct RouteServer {
     poll_ids: Vec<SessionId>,
     /// Reusable scratch for the per-poll backlog-policy derivation.
     deployed_ids: Vec<SessionId>,
-    /// Relay frames as borrowed framed bytes (patch destination in
-    /// place, never re-encode). On by default; the differential tests
-    /// flip it off to compare against the per-message legacy path.
-    fastpath: bool,
     /// The Fig. 7 L1 matrix switch, folded into the general relay: a
     /// wire whose endpoints both front the *same* RIS session is
     /// bridged here at deploy, so its frames resolve in two array reads
@@ -548,7 +545,6 @@ impl RouteServer {
             batch: FrameBatch::new(),
             poll_ids: Vec::new(),
             deployed_ids: Vec::new(),
-            fastpath: true,
             l1: L1Switch::new(0),
             l1_index: PortIndexer::new(),
             l1_bridges: HashMap::new(),
@@ -593,18 +589,6 @@ impl RouteServer {
     /// mitigation; the RIS transparently decompresses).
     pub fn set_compress_downstream(&mut self, on: bool) {
         self.compress_downstream = on;
-    }
-
-    /// Toggle the zero-copy relay path. On by default; off routes every
-    /// frame through the owned per-message decode, which the
-    /// differential tests use as the reference behaviour.
-    pub fn set_fastpath(&mut self, on: bool) {
-        self.fastpath = on;
-    }
-
-    /// Whether the zero-copy relay path is active.
-    pub fn fastpath(&self) -> bool {
-        self.fastpath
     }
 
     /// Frames forwarded over the Fig. 7 L1 bridge instead of the
@@ -1185,11 +1169,7 @@ impl RouteServer {
                 self.send_to_router(router, msg, now);
             }
         }
-        if self.fastpath {
-            self.poll_sessions_batched(now);
-        } else {
-            self.poll_sessions_legacy(now);
-        }
+        self.poll_sessions_batched(now);
         // Emit due generator traffic into its target ports.
         for (router, port, frame) in self.generator.poll(now) {
             // Streams whose router vanished just stop producing effect.
@@ -1253,31 +1233,6 @@ impl RouteServer {
         }
     }
 
-    /// The pre-fastpath session drain: one owned [`Msg`] per frame.
-    /// Kept verbatim as the reference behaviour the differential tests
-    /// compare the zero-copy path against.
-    fn poll_sessions_legacy(&mut self, now: Instant) {
-        let ids: Vec<SessionId> = self.sessions.keys().copied().collect();
-        for sid in ids {
-            let msgs = match self.sessions.get_mut(&sid) {
-                Some(session) if session.alive => match session.transport.poll(now) {
-                    Ok(msgs) => msgs,
-                    Err(_) => {
-                        session.alive = false;
-                        Vec::new()
-                    }
-                },
-                _ => Vec::new(),
-            };
-            if !msgs.is_empty() {
-                self.inventory.touch_session(sid, now);
-            }
-            for msg in msgs {
-                self.handle_msg(sid, msg, now);
-            }
-        }
-    }
-
     /// The batched session drain: each transport appends its
     /// deliverable frames into the reusable [`FrameBatch`] in one call,
     /// data frames relay as borrowed bytes, and every touched transport
@@ -1326,17 +1281,16 @@ impl RouteServer {
         self.poll_ids = ids;
     }
 
-    /// Dispatch one received frame: uncompressed data frames take the
-    /// zero-copy relay; everything else (control traffic, compressed
-    /// data, or any relay that must re-encode) falls back to the owned
-    /// decode and [`RouteServer::handle_msg`]. A frame that fails the
-    /// owned decode kills the session, as a protocol error inside
-    /// [`Transport::poll`] did on the legacy path.
+    /// Dispatch one received frame: a data frame that can leave as the
+    /// bytes it arrived in is relayed in place; everything else (control
+    /// traffic, compressed data, or any relay that must re-encode) takes
+    /// the owned decode and [`RouteServer::handle_msg`]. A frame that
+    /// fails the owned decode is a protocol error and kills the session.
     fn handle_frame(&mut self, sid: SessionId, batch: &mut FrameBatch, i: usize, now: Instant) {
         let Some(body) = batch.get_mut(i) else {
             return;
         };
-        if self.relay_fast(body, now) {
+        if self.relay_borrowed(body, now) {
             return;
         }
         match Msg::decode(body) {
@@ -1346,200 +1300,6 @@ impl RouteServer {
                     session.alive = false;
                 }
             }
-        }
-    }
-
-    /// The zero-copy Fig. 4 relay: borrow-decode the data header in
-    /// place, resolve the destination over the L1 bridge or the dense
-    /// matrix, patch the destination into the same bytes, and forward
-    /// the frame without ever materializing a [`Msg`] or re-encoding.
-    /// Returns `false` when the frame is not an uncompressed data frame
-    /// relayable as-is (the caller falls back to the owned path).
-    fn relay_fast(&mut self, body: &mut [u8], now: Instant) -> bool {
-        if self.compress_downstream {
-            // Downstream compression re-encodes every frame; there is
-            // nothing zero-copy about that path.
-            return false;
-        }
-        let Some(data) = Msg::peek_data(body) else {
-            return false;
-        };
-        let (src_router, src_port, span) = (data.router, data.port, data.span);
-        let bytes = data.payload.len() as u64;
-        let mut perf = self.p_relay.scope();
-        perf.mark("decode"); // borrowed header peek: decode is ~free
-        self.admit_relay(now);
-        self.journal.record(FrameEvent {
-            trace: span.trace,
-            t_us: now.as_micros(),
-            hop: Hop::ServerRx,
-            router: src_router.0,
-            port: src_port.0,
-            bytes: bytes as u32,
-        });
-        self.captures.tap(
-            src_router,
-            src_port,
-            CaptureDir::FromPort,
-            data.payload,
-            now,
-        );
-        // Fig. 7 bypass: a co-located wire bridged on the L1 panel
-        // resolves its far end in two array reads. `target` (not
-        // `ingress`) probes first so a torn-down bridge falls through
-        // to the matrix without counting a drop.
-        let bridged = match self.l1_index.get(src_router.0, src_port.0) {
-            Some(idx) => match self.l1.target(idx) {
-                Some(PortTarget::Port(other)) => {
-                    if self.l1.ingress(idx) == L1Output::Port(other) {
-                        self.m_frames_bridged.inc();
-                    }
-                    self.l1_index
-                        .endpoint(other)
-                        .map(|(r, p)| (RouterId(r), PortId(p)))
-                }
-                _ => None,
-            },
-            None => None,
-        };
-        let (dst_router, dst_port) =
-            match bridged.or_else(|| self.matrix.lookup((src_router, src_port))) {
-                Some(dst) => dst,
-                None => {
-                    // Cross-shard wire: the far end lives on another
-                    // shard. Patch the destination in place and hand
-                    // the bytes to the trunk outbox — still zero-copy
-                    // up to the single buffer the trunk must own.
-                    if let Some(&(dst_router, dst_port)) =
-                        self.remote_routes.get(&(src_router, src_port))
-                    {
-                        let _ = Msg::patch_data_dest(body, dst_router, dst_port);
-                        self.queue_trunk_frame(dst_router, dst_port, body.to_vec(), span, now);
-                    } else {
-                        self.frame_unrouted(
-                            src_router,
-                            src_port,
-                            MissReason::NoMatrixEntry,
-                            span.trace,
-                            now,
-                        );
-                    }
-                    return true;
-                }
-            };
-        self.journal.record(FrameEvent {
-            trace: span.trace,
-            t_us: now.as_micros(),
-            hop: Hop::MatrixHit,
-            router: dst_router.0,
-            port: dst_port.0,
-            bytes: bytes as u32,
-        });
-        self.captures
-            .tap(dst_router, dst_port, CaptureDir::ToPort, data.payload, now);
-        perf.mark("matrix");
-        // A meshed wire's frame on the relay is the fallback path in
-        // action — count it so "direct" is provable from one scrape.
-        if self.mesh.is_meshed((src_router, src_port)) {
-            self.m_mesh_relay_fallback.inc();
-        }
-        self.m_bytes_relayed.add(bytes);
-        let wire = self.wire_metrics_for((src_router, src_port), (dst_router, dst_port));
-        wire.frames.inc();
-        wire.bytes.add(bytes);
-        if span.is_some() {
-            let latency_us = now.as_micros().saturating_sub(span.origin_us);
-            wire.latency_us.observe(latency_us);
-            self.m_relay_latency_q.observe(latency_us);
-            // Threshold pre-check: building a `SlowOp` allocates its
-            // phase vector, so only ops that will be captured pay it.
-            if self
-                .recorder
-                .threshold("relay")
-                .is_some_and(|t| latency_us >= t)
-            {
-                let captured = self.recorder.record_if_slow(SlowOp {
-                    class: "relay",
-                    trace: span.trace,
-                    router: dst_router.0,
-                    port: dst_port.0,
-                    at_us: now.as_micros(),
-                    total_us: latency_us,
-                    phases: vec![("tunnel-upstream", latency_us)],
-                });
-                if captured {
-                    self.m_slow_relay.inc();
-                }
-            }
-        }
-        if let Some(dep) = self.matrix.owner_of(src_router) {
-            let obs = &self.obs;
-            self.deployment_frames
-                .entry(dep)
-                .or_insert_with(|| {
-                    obs.counter(
-                        "rnl_server_deployment_frames_total",
-                        &[("deployment", &dep.0.to_string())],
-                    )
-                })
-                .inc();
-        }
-        let _ = Msg::patch_data_dest(body, dst_router, dst_port);
-        perf.mark("encode"); // in-place patch: encode never copies
-        match self.send_raw_to_router(dst_router, body, now) {
-            SendOutcome::Sent => {
-                self.m_frames_routed.inc();
-                self.journal.record(FrameEvent {
-                    trace: span.trace,
-                    t_us: now.as_micros(),
-                    hop: Hop::ServerTx,
-                    router: dst_router.0,
-                    port: dst_port.0,
-                    bytes: bytes as u32,
-                });
-            }
-            SendOutcome::Graced => {
-                self.frame_unrouted(
-                    dst_router,
-                    dst_port,
-                    MissReason::SessionGraced,
-                    span.trace,
-                    now,
-                );
-            }
-            SendOutcome::Queued => {
-                // Held in the replay buffer; the flush/shed counters
-                // settle its fate, exactly as on the owned path.
-            }
-            SendOutcome::Gone => {
-                self.frame_unrouted(dst_router, dst_port, MissReason::NoSession, span.trace, now);
-            }
-        }
-        true
-    }
-
-    /// [`RouteServer::send_to_router`] for an already-encoded body: the
-    /// live-session path forwards the bytes as-is via
-    /// [`Transport::send_raw`]; graced sessions fall back to the owned
-    /// decode so the replay buffer keeps holding [`Msg`]s.
-    fn send_raw_to_router(&mut self, router: RouterId, body: &[u8], now: Instant) -> SendOutcome {
-        let Some(sid) = self.inventory.session_of(router) else {
-            return SendOutcome::Gone;
-        };
-        let cap = self.replay_cap;
-        let queued = self.m_replay_queued.clone();
-        let Some(session) = self.sessions.get_mut(&sid) else {
-            return SendOutcome::Gone;
-        };
-        if session.graced_at.is_some() || !session.alive {
-            let Ok(msg) = Msg::decode(body) else {
-                return SendOutcome::Gone;
-            };
-            return Self::hold_for_replay(session, cap, &queued, msg);
-        }
-        match session.transport.send_raw(body, now) {
-            Ok(()) => SendOutcome::Sent,
-            Err(_) => SendOutcome::Gone,
         }
     }
 
@@ -1584,70 +1344,6 @@ impl RouteServer {
             TraceId::NONE,
             now,
         );
-    }
-
-    /// Deliver a frame that arrived over an inter-shard trunk into the
-    /// local session fronting its destination router. Returns `true`
-    /// when the frame was sent (or held for replay by a graced
-    /// session); sheds are counted exactly like local misses.
-    pub fn deliver_remote(&mut self, body: &[u8], now: Instant) -> bool {
-        self.m_trunk_in.inc();
-        let Some(data) = Msg::peek_data(body) else {
-            return false;
-        };
-        let (dst_router, dst_port, span) = (data.router, data.port, data.span);
-        let bytes = data.payload.len() as u64;
-        match self.send_raw_to_router(dst_router, body, now) {
-            SendOutcome::Sent => {
-                self.m_frames_routed.inc();
-                self.m_bytes_relayed.add(bytes);
-                self.journal.record(FrameEvent {
-                    trace: span.trace,
-                    t_us: now.as_micros(),
-                    hop: Hop::ServerTx,
-                    router: dst_router.0,
-                    port: dst_port.0,
-                    bytes: bytes as u32,
-                });
-                true
-            }
-            SendOutcome::Queued => true,
-            SendOutcome::Graced => {
-                self.frame_unrouted(
-                    dst_router,
-                    dst_port,
-                    MissReason::SessionGraced,
-                    span.trace,
-                    now,
-                );
-                false
-            }
-            SendOutcome::Gone => {
-                self.frame_unrouted(dst_router, dst_port, MissReason::NoSession, span.trace, now);
-                false
-            }
-        }
-    }
-
-    /// Queue one encoded cross-shard frame for the trunk.
-    fn queue_trunk_frame(
-        &mut self,
-        dst_router: RouterId,
-        dst_port: PortId,
-        body: Vec<u8>,
-        span: Span,
-        now: Instant,
-    ) {
-        self.m_trunk_out.inc();
-        self.journal.record(FrameEvent {
-            trace: span.trace,
-            t_us: now.as_micros(),
-            hop: Hop::MatrixHit,
-            router: dst_router.0,
-            port: dst_port.0,
-            bytes: body.len() as u32,
-        });
-        self.trunk_outbox.push(TrunkFrame { dst_router, body });
     }
 
     /// Start this shard's router-id allocation at `base`, so shards
@@ -1695,14 +1391,6 @@ impl RouteServer {
         self.sessions
             .values()
             .any(|s| s.alive && s.graced_at.is_none() && s.pc_name.as_deref() == Some(pc_name))
-    }
-
-    /// A second handle onto this server's journal store, captured
-    /// *before* handing the server to a thread so its state can be
-    /// recovered if the thread panics. `None` without durability (or
-    /// when the backend cannot be reattached).
-    pub fn wal_reopen(&self) -> Option<Box<dyn Durability>> {
-        self.wal.as_ref().and_then(|w| w.reopen())
     }
 
     /// Mark a session disconnected and start its grace window. Frames
@@ -1875,37 +1563,13 @@ impl RouteServer {
                 port,
                 span,
                 frame,
-            } => {
-                let mut perf = self.p_relay.scope();
-                perf.mark("decode"); // uncompressed: decode is a no-op
-                self.admit_relay(now);
-                self.route_frame(router, port, span, frame, now, perf);
-            }
+            } => self.relay_owned((router, port), span, frame, false, now),
             Msg::DataCompressed {
                 router,
                 port,
                 span,
                 encoded,
-            } => {
-                let mut perf = self.p_relay.scope();
-                self.admit_relay(now);
-                let frame = match self
-                    .decompressors
-                    .entry((router, port))
-                    .or_default()
-                    .decode(&encoded)
-                {
-                    Ok(frame) => frame,
-                    // A desynchronized stream is a session-level fault;
-                    // count the frame as unroutable and move on.
-                    Err(_) => {
-                        self.frame_unrouted(router, port, MissReason::DecodeError, span.trace, now);
-                        return;
-                    }
-                };
-                perf.mark("decode");
-                self.route_frame(router, port, span, frame, now, perf);
-            }
+            } => self.relay_owned((router, port), span, encoded, true, now),
             Msg::ConsoleReply { router, output } => {
                 // The round-trip completed; its deadline is met. Feed
                 // the issue-to-reply gap into the console quantile.
@@ -2002,182 +1666,6 @@ impl RouteServer {
         });
         if captured {
             slow_counter.inc();
-        }
-    }
-
-    /// Cheap `Arc`-clones of the per-wire handles, registering them on
-    /// first sight of the wire.
-    fn wire_metrics_for(
-        &mut self,
-        src: (RouterId, PortId),
-        dst: (RouterId, PortId),
-    ) -> WireMetrics {
-        if let Some(m) = self.wire_metrics.get(&src) {
-            return m.clone();
-        }
-        let wire = format!("r{}p{}-r{}p{}", src.0 .0, src.1 .0, dst.0 .0, dst.1 .0);
-        let labels = [("wire", wire.as_str())];
-        let m = WireMetrics {
-            frames: self.obs.counter("rnl_server_wire_frames_total", &labels),
-            bytes: self.obs.counter("rnl_server_wire_bytes_total", &labels),
-            latency_us: self.obs.histogram(
-                "rnl_server_wire_latency_us",
-                &labels,
-                &LATENCY_BUCKETS_US,
-            ),
-        };
-        self.wire_metrics.insert(src, m.clone());
-        m
-    }
-
-    /// The Fig. 4 packet path: unwrap → matrix lookup → wrap → forward.
-    /// `perf` is the relay profiling scope opened at message receipt
-    /// (its `decode` phase already marked); this marks `matrix` and
-    /// `encode` and records the total when it drops.
-    fn route_frame(
-        &mut self,
-        router: RouterId,
-        port: PortId,
-        span: Span,
-        frame: Vec<u8>,
-        now: Instant,
-        mut perf: PerfScope,
-    ) {
-        self.journal.record(FrameEvent {
-            trace: span.trace,
-            t_us: now.as_micros(),
-            hop: Hop::ServerRx,
-            router: router.0,
-            port: port.0,
-            bytes: frame.len() as u32,
-        });
-        self.captures
-            .tap(router, port, CaptureDir::FromPort, &frame, now);
-        let Some((dst_router, dst_port)) = self.matrix.lookup((router, port)) else {
-            // Cross-shard wire on the owned path: re-address and encode
-            // the frame for the trunk.
-            if let Some(&(dst_router, dst_port)) = self.remote_routes.get(&(router, port)) {
-                let body = Msg::Data {
-                    router: dst_router,
-                    port: dst_port,
-                    span,
-                    frame,
-                }
-                .encode();
-                self.queue_trunk_frame(dst_router, dst_port, body, span, now);
-            } else {
-                self.frame_unrouted(router, port, MissReason::NoMatrixEntry, span.trace, now);
-            }
-            return;
-        };
-        self.journal.record(FrameEvent {
-            trace: span.trace,
-            t_us: now.as_micros(),
-            hop: Hop::MatrixHit,
-            router: dst_router.0,
-            port: dst_port.0,
-            bytes: frame.len() as u32,
-        });
-        self.captures
-            .tap(dst_router, dst_port, CaptureDir::ToPort, &frame, now);
-        perf.mark("matrix");
-        let bytes = frame.len() as u64;
-        if self.mesh.is_meshed((router, port)) {
-            self.m_mesh_relay_fallback.inc();
-        }
-        self.m_bytes_relayed.add(bytes);
-        let wire = self.wire_metrics_for((router, port), (dst_router, dst_port));
-        wire.frames.inc();
-        wire.bytes.add(bytes);
-        if span.is_some() {
-            // Upstream leg latency: RIS ingress stamp → relay, on the
-            // shared virtual clock.
-            let latency_us = now.as_micros().saturating_sub(span.origin_us);
-            wire.latency_us.observe(latency_us);
-            self.m_relay_latency_q.observe(latency_us);
-            // Threshold pre-check: building a `SlowOp` allocates its
-            // phase vector, so only ops that will be captured pay it.
-            if self
-                .recorder
-                .threshold("relay")
-                .is_some_and(|t| latency_us >= t)
-            {
-                let captured = self.recorder.record_if_slow(SlowOp {
-                    class: "relay",
-                    trace: span.trace,
-                    router: dst_router.0,
-                    port: dst_port.0,
-                    at_us: now.as_micros(),
-                    total_us: latency_us,
-                    phases: vec![("tunnel-upstream", latency_us)],
-                });
-                if captured {
-                    self.m_slow_relay.inc();
-                }
-            }
-        }
-        if let Some(dep) = self.matrix.owner_of(router) {
-            let obs = &self.obs;
-            self.deployment_frames
-                .entry(dep)
-                .or_insert_with(|| {
-                    obs.counter(
-                        "rnl_server_deployment_frames_total",
-                        &[("deployment", &dep.0.to_string())],
-                    )
-                })
-                .inc();
-        }
-        let msg = if self.compress_downstream {
-            let encoded = self
-                .compressors
-                .entry((dst_router, dst_port))
-                .or_default()
-                .encode(&frame);
-            Msg::DataCompressed {
-                router: dst_router,
-                port: dst_port,
-                span,
-                encoded,
-            }
-        } else {
-            Msg::Data {
-                router: dst_router,
-                port: dst_port,
-                span,
-                frame,
-            }
-        };
-        perf.mark("encode");
-        match self.send_to_router(dst_router, msg, now) {
-            SendOutcome::Sent => {
-                self.m_frames_routed.inc();
-                self.journal.record(FrameEvent {
-                    trace: span.trace,
-                    t_us: now.as_micros(),
-                    hop: Hop::ServerTx,
-                    router: dst_router.0,
-                    port: dst_port.0,
-                    bytes: bytes as u32,
-                });
-            }
-            SendOutcome::Graced => {
-                self.frame_unrouted(
-                    dst_router,
-                    dst_port,
-                    MissReason::SessionGraced,
-                    span.trace,
-                    now,
-                );
-            }
-            SendOutcome::Queued => {
-                // Held in the replay buffer: neither routed nor
-                // unrouted yet; `rnl_server_replay_queued_total` and
-                // the flush/shed counters settle its fate.
-            }
-            SendOutcome::Gone => {
-                self.frame_unrouted(dst_router, dst_port, MissReason::NoSession, span.trace, now);
-            }
         }
     }
 

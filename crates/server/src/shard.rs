@@ -7,24 +7,21 @@
 //! the routing matrices between different users do not overlap, we can
 //! have one route server per user."
 //!
-//! Two layers live here:
+//! [`Federation`] is the fault-contained scale-out tier: sessions are
+//! partitioned across `N` shards by consistent hash over the RIS
+//! principal ([`HashRing`]), cross-shard wires relay over supervised
+//! inter-shard trunks, and each shard owns its own journal so a crash
+//! is recovered locally while siblings keep serving. Partial failure
+//! is *contained*: a dead trunk sheds only the cross-shard frames that
+//! needed it (counted `reason="trunk-down"`), never intra-shard
+//! traffic.
 //!
-//! * [`ShardSet`] — the original per-user split: one independent
-//!   [`RouteServer`] per user, share-nothing, driven in parallel
-//!   (experiment E9). [`ShardSet::run_parallel_recovering`] survives a
-//!   panicked shard thread by rebuilding that shard from its own WAL.
-//! * [`Federation`] — the fault-contained scale-out tier: sessions are
-//!   partitioned across `N` shards by consistent hash over the RIS
-//!   principal ([`HashRing`]), cross-shard wires relay over supervised
-//!   inter-shard trunks, and each shard owns its own journal so a crash
-//!   is recovered locally while siblings keep serving. Partial failure
-//!   is *contained*: a dead trunk sheds only the cross-shard frames
-//!   that needed it (counted `reason="trunk-down"`), never intra-shard
-//!   traffic.
+//! (The share-nothing one-server-per-user throughput experiment, E9,
+//! needs no type of its own: `rnl-bench`'s `server_scaling` workload
+//! drives independent [`RouteServer`]s directly.)
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::thread;
 
 use rnl_net::time::{Duration, Instant};
 use rnl_obs::metrics::{Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
@@ -39,155 +36,6 @@ use crate::design::Design;
 use crate::journal::{Durability, FileJournal, MemJournal, SharedStore};
 use crate::json::Json;
 use crate::{DeploymentId, RouteServer, ServerError, ServerStats, SessionId};
-
-// ---------------------------------------------------------------------
-// ShardSet: the per-user split (E9)
-// ---------------------------------------------------------------------
-
-/// A set of per-user route servers.
-#[derive(Default)]
-pub struct ShardSet {
-    shards: BTreeMap<String, RouteServer>,
-    /// Test hook: the named shard's poll thread panics immediately.
-    #[cfg(test)]
-    panic_shard: Option<String>,
-}
-
-/// What [`ShardSet::run_parallel_recovering`] hands back: the shards
-/// (every one of them — a panicked shard is rebuilt from its WAL, or
-/// reset empty when it had none) plus the names of the shards whose
-/// poll thread panicked, in shard order.
-pub struct ParallelOutcome {
-    pub set: ShardSet,
-    pub panicked: Vec<String>,
-}
-
-impl ShardSet {
-    /// Empty set.
-    pub fn new() -> ShardSet {
-        ShardSet::default()
-    }
-
-    /// The shard for `user`, created on first touch.
-    pub fn shard_mut(&mut self, user: &str) -> &mut RouteServer {
-        self.shards.entry(user.to_string()).or_default()
-    }
-
-    /// Read access to a shard.
-    pub fn shard(&self, user: &str) -> Option<&RouteServer> {
-        self.shards.get(user)
-    }
-
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True when no shard exists.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Aggregate counters across shards.
-    pub fn total_stats(&self) -> ServerStats {
-        let mut total = ServerStats::default();
-        for shard in self.shards.values() {
-            let s = shard.stats();
-            total.frames_routed += s.frames_routed;
-            total.frames_unrouted += s.frames_unrouted;
-            total.bytes_relayed += s.bytes_relayed;
-            total.frames_injected += s.frames_injected;
-        }
-        total
-    }
-
-    /// Poll every shard sequentially (the degenerate, single-threaded
-    /// mode — useful as the baseline in E9).
-    pub fn poll_all(&mut self, now: Instant) {
-        for shard in self.shards.values_mut() {
-            shard.poll(now);
-        }
-    }
-
-    /// Drive every shard's poll loop on its own thread for `steps`
-    /// virtual steps of `dt` each, then hand the servers back. This is
-    /// the §4 distributed architecture: shards share nothing, so they
-    /// parallelize perfectly.
-    pub fn run_parallel(self, steps: u64, dt: Duration) -> ShardSet {
-        self.run_parallel_recovering(steps, dt).set
-    }
-
-    /// Like [`ShardSet::run_parallel`], but a panicked shard thread no
-    /// longer silently loses that shard's state: before spawning, each
-    /// shard's journal is reopened on the supervisor side, and a shard
-    /// whose thread panics is rebuilt from that journal (crash-local
-    /// recovery — siblings are unaffected). The panic is surfaced in
-    /// [`ParallelOutcome::panicked`] instead of being swallowed.
-    pub fn run_parallel_recovering(self, steps: u64, dt: Duration) -> ParallelOutcome {
-        let end = Instant::EPOCH + Duration::from_micros(dt.as_micros().saturating_mul(steps));
-        #[cfg(test)]
-        let panic_for = self.panic_shard.clone();
-        type ShardHandle = (
-            String,
-            Option<Box<dyn Durability>>,
-            thread::JoinHandle<RouteServer>,
-        );
-        let handles: Vec<ShardHandle> = self
-            .shards
-            .into_iter()
-            .map(|(user, mut server)| {
-                // A second handle onto the shard's journal, held by the
-                // supervisor: if the poll thread dies, this is how the
-                // shard's state comes back.
-                let wal = server.wal_reopen();
-                #[cfg(test)]
-                let boom = panic_for.as_deref() == Some(user.as_str());
-                #[cfg(not(test))]
-                let boom = false;
-                let handle = thread::spawn(move || {
-                    if boom {
-                        std::panic::panic_any("injected shard panic");
-                    }
-                    let mut now = Instant::EPOCH;
-                    for _ in 0..steps {
-                        now += dt;
-                        server.poll(now);
-                    }
-                    server
-                });
-                (user, wal, handle)
-            })
-            .collect();
-        let mut shards = BTreeMap::new();
-        let mut panicked = Vec::new();
-        for (user, wal, handle) in handles {
-            match handle.join() {
-                Ok(server) => {
-                    shards.insert(user, server);
-                }
-                Err(_) => {
-                    let rebuilt = wal
-                        .and_then(|w| RouteServer::recover(w, end).ok())
-                        .unwrap_or_default();
-                    panicked.push(user.clone());
-                    shards.insert(user, rebuilt);
-                }
-            }
-        }
-        ParallelOutcome {
-            set: ShardSet {
-                shards,
-                #[cfg(test)]
-                panic_shard: None,
-            },
-            panicked,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Federation: hash-partitioned shards with supervised trunks
-// ---------------------------------------------------------------------
 
 /// Router-id range owned by each shard: shard `k` allocates global ids
 /// in `[k * SHARD_ID_STRIDE, (k + 1) * SHARD_ID_STRIDE)`, so the owning
@@ -1447,98 +1295,6 @@ mod tests {
 
     fn t(ms: u64) -> Instant {
         Instant::EPOCH + Duration::from_millis(ms)
-    }
-
-    /// Attach a two-host lab to a shard; returns the RIS to drive.
-    fn lab_on_shard(server: &mut RouteServer, seed: u64, base: u32) -> Ris {
-        server.set_enforce_reservations(false);
-        let (ris_side, server_side) = mem_pair_perfect(seed);
-        server.attach(Box::new(server_side));
-        let mut ris = Ris::new(&format!("pc{base}"), Box::new(ris_side));
-        let mut h1 = Host::new("a", base);
-        h1.set_ip("10.0.0.1/24".parse().unwrap());
-        let mut h2 = Host::new("b", base + 1);
-        h2.set_ip("10.0.0.2/24".parse().unwrap());
-        ris.add_device(Box::new(h1), "host a");
-        ris.add_device(Box::new(h2), "host b");
-        ris.join_labs(t(0)).unwrap();
-        server.poll(t(0));
-        ris.poll(t(0)).unwrap();
-        let r1 = ris.router_id(0).unwrap();
-        let r2 = ris.router_id(1).unwrap();
-        let mut d = Design::new("pair");
-        d.add_device(r1);
-        d.add_device(r2);
-        d.connect((r1, PortId(0)), (r2, PortId(0))).unwrap();
-        server.deploy_design("user", &d, t(0)).unwrap();
-        ris
-    }
-
-    #[test]
-    fn shards_are_isolated() {
-        let mut set = ShardSet::new();
-        let mut ris_a = lab_on_shard(set.shard_mut("alice"), 1, 10);
-        let mut ris_b = lab_on_shard(set.shard_mut("bob"), 2, 20);
-        assert_eq!(set.len(), 2);
-        // Drive pings on both shards.
-        ris_a
-            .device_mut(0)
-            .unwrap()
-            .console("ping 10.0.0.2 count 2", t(0));
-        ris_b
-            .device_mut(0)
-            .unwrap()
-            .console("ping 10.0.0.2 count 2", t(0));
-        for ms in (0..4000).step_by(100) {
-            ris_a.poll(t(ms)).unwrap();
-            ris_b.poll(t(ms)).unwrap();
-            set.poll_all(t(ms));
-            ris_a.poll(t(ms)).unwrap();
-            ris_b.poll(t(ms)).unwrap();
-        }
-        let out = ris_a.device_mut(0).unwrap().console("show ping", t(4000));
-        assert!(out.contains("2 received"), "alice's shard: {out}");
-        let out = ris_b.device_mut(0).unwrap().console("show ping", t(4000));
-        assert!(out.contains("2 received"), "bob's shard: {out}");
-        // Both shards routed frames; totals aggregate.
-        let total = set.total_stats();
-        assert!(total.frames_routed >= 8);
-        assert!(set.shard("alice").unwrap().stats().frames_routed > 0);
-    }
-
-    #[test]
-    fn run_parallel_returns_all_shards() {
-        let mut set = ShardSet::new();
-        set.shard_mut("a");
-        set.shard_mut("b");
-        set.shard_mut("c");
-        let set = set.run_parallel(10, Duration::from_millis(1));
-        assert_eq!(set.len(), 3);
-    }
-
-    #[test]
-    fn panicked_shard_recovers_from_its_wal() {
-        let mut set = ShardSet::new();
-        // Give the doomed shard durable state worth recovering.
-        {
-            let server = set.shard_mut("doomed");
-            server
-                .set_durability(Box::new(MemJournal::new()), t(0))
-                .unwrap();
-            let mut d = Design::new("keepme");
-            d.add_device(RouterId(1));
-            server.save_design(d);
-        }
-        set.shard_mut("healthy");
-        set.panic_shard = Some("doomed".to_string());
-        let outcome = set.run_parallel_recovering(5, Duration::from_millis(1));
-        // The panic is surfaced, not swallowed...
-        assert_eq!(outcome.panicked, vec!["doomed".to_string()]);
-        // ...and both shards come back — the doomed one rebuilt from
-        // its journal, design intact.
-        assert_eq!(outcome.set.len(), 2);
-        let doomed = outcome.set.shard("doomed").unwrap();
-        assert!(doomed.designs().load("keepme").is_some());
     }
 
     /// A federation whose shard-0 and shard-1 each host one half of a

@@ -13,6 +13,8 @@
 use rnl::core::shardlab::ShardedLabs;
 use rnl::device::host::Host;
 use rnl::net::time::Duration;
+use rnl::obs::{merge_trace, Hop};
+use rnl::server::capture::CaptureDir;
 use rnl::server::shard::shard_of_router;
 use rnl::server::web::{self, Request, Response, ShardKey};
 use rnl::tunnel::faults::ShardFaultPlan;
@@ -318,6 +320,76 @@ fn cross_shard_design_builds_via_api() {
     labs.run(Duration::from_secs(5)).expect("run");
     let out = show_ping(&mut labs, sa);
     assert!(out.contains("3 received"), "trunk relay: {out}");
+}
+
+/// Regression: a frame that rides a trunk used to be tapped
+/// `FromPort` on its source shard and nowhere else, so a capture on
+/// the far port of a cross-shard wire saw only the traffic that port
+/// *sent*. The delivering shard now taps `ToPort`.
+#[test]
+fn capture_on_the_far_port_of_a_cross_shard_wire_sees_trunked_frames() {
+    let mut labs = ShardedLabs::new(2);
+    let (sa, sb) = cross_lab(&mut labs, &mut Vec::new(), 0, 1, 7);
+    let rb = labs.router_id(sb, 0).expect("router b");
+    labs.federation_mut()
+        .server_mut(1)
+        .expect("shard 1")
+        .captures_mut()
+        .start(rb, PortId(0));
+    ping(&mut labs, sa, 7, 3);
+    labs.run(Duration::from_secs(5)).expect("run");
+    assert!(show_ping(&mut labs, sa).contains("3 received"));
+
+    let shard1 = labs.federation().server(1).expect("shard 1");
+    let seen = |dir| {
+        shard1
+            .captures()
+            .captured(rb, PortId(0))
+            .iter()
+            .filter(|f| f.dir == dir)
+            .count()
+    };
+    // One ARP exchange plus three echoes, each way.
+    assert!(seen(CaptureDir::FromPort) >= 4, "replies leaving hb");
+    assert!(
+        seen(CaptureDir::ToPort) >= 4,
+        "requests that reached hb over the trunk, got {}",
+        seen(CaptureDir::ToPort)
+    );
+}
+
+/// Regression: the source shard used to journal a trunked frame's
+/// matrix hit with the *encoded body* length (header included) while
+/// every other hop carries the payload length, so a cross-shard
+/// trace's byte count jumped mid-path.
+#[test]
+fn cross_shard_trace_reports_one_constant_size() {
+    let mut labs = ShardedLabs::new(2);
+    let (sa, _) = cross_lab(&mut labs, &mut Vec::new(), 0, 1, 8);
+    ping(&mut labs, sa, 8, 3);
+    labs.run(Duration::from_secs(5)).expect("run");
+
+    let shard0 = labs.federation().server(0).expect("shard 0");
+    let shard1 = labs.federation().server(1).expect("shard 1");
+    // Frames ha sent: received by shard 0, delivered by shard 1.
+    let sent: Vec<_> = shard0
+        .journal()
+        .events()
+        .iter()
+        .filter(|e| e.hop == Hop::ServerRx)
+        .map(|e| e.trace)
+        .collect();
+    assert!(sent.len() >= 4, "ARP + three echoes, got {}", sent.len());
+    for trace in sent {
+        let path = merge_trace(&[shard0.journal(), shard1.journal()], trace);
+        let hops: Vec<Hop> = path.iter().map(|e| e.hop).collect();
+        assert_eq!(hops, [Hop::ServerRx, Hop::MatrixHit, Hop::ServerTx]);
+        let sizes: Vec<u32> = path.iter().map(|e| e.bytes).collect();
+        assert!(
+            sizes.iter().all(|&b| b == sizes[0]),
+            "byte count changes along {trace:?}: {sizes:?}"
+        );
+    }
 }
 
 /// Satellite: `shard-down` is a structured, retryable error — stable
