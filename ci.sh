@@ -60,5 +60,8 @@ cargo run -q --offline --release -p rnl-bench --bin bench -- --check --tolerance
 # or missing, an API op fails, or a child dies; the wall-clock numbers
 # it prints are report-only (this host is shared).
 bash wallbench/run.sh --workload relay_small --seed 1 --seconds 5 --trace 0
+# Same again with the hosts behind two `ris` child processes: the only
+# workload whose frames cross the `ris` binary's own wait loop.
+bash wallbench/run.sh --workload stack_ping --seed 1 --seconds 5 --trace 0
 
 echo "ci: all checks passed"

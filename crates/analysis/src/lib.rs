@@ -15,6 +15,8 @@
 //! [`AnalysisInput`] to gate deploys, and the `rnl-lint` CLI builds one
 //! from an exported design JSON offline.
 
+#![deny(unsafe_code)]
+
 pub mod checks;
 pub mod cover;
 pub mod diag;

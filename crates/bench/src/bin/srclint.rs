@@ -35,6 +35,7 @@ const HOT_PATHS: &[&str] = &[
     "crates/server/src/mesh.rs",
     "crates/tunnel/src/mesh.rs",
     "crates/tunnel/src/transport.rs",
+    "crates/tunnel/src/wait.rs",
     "crates/tunnel/src/faults.rs",
     "crates/tunnel/src/ring.rs",
     "crates/tunnel/src/codec.rs",

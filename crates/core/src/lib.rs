@@ -27,6 +27,8 @@
 //! [`scenarios`]: the Fig. 5 FWSM failover lab and the Fig. 6 security
 //! policy lab.
 
+#![deny(unsafe_code)]
+
 pub mod nightly;
 pub mod scenarios;
 pub mod shardlab;

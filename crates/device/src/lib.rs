@@ -32,6 +32,8 @@
 //!   (the S1/S2 of Fig. 5).
 //! * [`traffgen::TrafficGen`] — an IXIA-style template traffic generator.
 
+#![deny(unsafe_code)]
+
 pub mod acl;
 pub mod cli;
 pub mod confparse;

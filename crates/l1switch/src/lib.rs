@@ -14,6 +14,8 @@
 //! inspects frames — layer 1 has no opinions about bits — so the only
 //! observable differences from a cable are the counters.
 
+#![deny(unsafe_code)]
+
 use std::collections::HashMap;
 
 /// Where a device-facing port is currently patched.

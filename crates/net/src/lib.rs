@@ -18,6 +18,8 @@
 //! No allocation is required to parse; building uses caller-provided
 //! buffers or the [`build`] convenience constructors which allocate `Vec`s.
 
+#![deny(unsafe_code)]
+
 pub mod addr;
 pub mod arp;
 pub mod bpdu;

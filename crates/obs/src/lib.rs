@@ -41,6 +41,8 @@
 //! explicit upper bounds; [`LATENCY_BUCKETS_US`] and [`SIZE_BUCKETS`]
 //! are the standard ladders.
 
+#![deny(unsafe_code)]
+
 pub mod journal;
 pub mod metrics;
 pub mod profile;

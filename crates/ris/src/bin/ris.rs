@@ -13,6 +13,12 @@
 //! firewall friendly) with jittered exponential backoff, rejoining and
 //! re-registering after every outage instead of exiting. Virtual time
 //! maps 1:1 to wall time in this process.
+//!
+//! Between supervision steps the loop blocks in [`rnl_tunnel::wait`] on
+//! the uplink socket, so a frame from the route server is replayed into
+//! its device when it arrives. Device timers, keepalives and — while
+//! there is no uplink to block on — the redial schedule run off the
+//! wait's [`TICK`] timeout.
 
 use std::time::Instant as WallInstant;
 
@@ -20,6 +26,11 @@ use rnl_net::time::Instant;
 use rnl_ris::config::RisConfig;
 use rnl_ris::{BackoffConfig, Ris, RisError, Supervisor, TcpDialer};
 use rnl_tunnel::transport::ClosedTransport;
+use rnl_tunnel::wait::wait;
+
+/// Longest the loop blocks with nothing ready: the period of its timer
+/// work, and poll(2)'s granularity.
+const TICK: std::time::Duration = std::time::Duration::from_millis(1);
 
 fn main() {
     let mut path: Option<String> = None;
@@ -90,6 +101,7 @@ fn main() {
     );
 
     let mut was_connected = false;
+    let mut fds = Vec::new();
     loop {
         let t = now();
         // The supervisor owns the keepalive schedule: healthy ticks
@@ -118,6 +130,8 @@ fn main() {
             eprintln!("ris: lost the route server; redialing with backoff");
         }
         was_connected = connected;
-        std::thread::sleep(std::time::Duration::from_micros(500));
+        fds.clear();
+        ris.wait_fds(&mut fds);
+        wait(&mut fds, TICK);
     }
 }

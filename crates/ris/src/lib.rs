@@ -18,6 +18,8 @@
 //! and keeps that TCP session open, which is what lets equipment behind
 //! corporate firewalls join the labs.
 
+#![deny(unsafe_code)]
+
 pub mod config;
 pub mod dialmap;
 pub mod mapping;
@@ -36,6 +38,7 @@ use rnl_obs::{
 use rnl_tunnel::compress::{Compressor, Decompressor};
 use rnl_tunnel::msg::{Msg, PortId, RegisterInfo, RouterId, RouterInfo, SessionEpoch};
 use rnl_tunnel::transport::{ClosedTransport, Transport, TransportError};
+use rnl_tunnel::wait::PollFd;
 
 pub use dialmap::DialMap;
 pub use mapping::auto_mapping;
@@ -309,6 +312,13 @@ impl Ris {
             }
         }
         Ok(())
+    }
+
+    /// Append what a blocking caller should wait on between polls: the
+    /// uplink's descriptor, if it has one. A disconnected RIS appends
+    /// nothing and its caller's tick paces the redial.
+    pub fn wait_fds(&self, fds: &mut Vec<PollFd>) {
+        fds.extend(self.transport.wait_fd());
     }
 
     /// Replace a dead transport and re-join the labs ("RIS initiates

@@ -40,10 +40,18 @@
 //! ```
 //!
 //! Virtual time maps 1:1 to wall time in this process.
+//!
+//! The core loop (one server or a federation, same loop) is
+//! single-threaded and readiness-driven: between polls it blocks in
+//! [`rnl_tunnel::wait`] on every live session socket plus a waker the
+//! acceptor and API threads poke, so a frame or a request is handled
+//! when it arrives. Timer work — heartbeat ageing, grace expiry,
+//! snapshots, the traffic generator — runs off the wait's [`TICK`]
+//! timeout.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant as WallInstant;
 
 use rnl_net::time::Instant;
@@ -51,6 +59,11 @@ use rnl_server::journal::{FileJournal, FsyncPolicy};
 use rnl_server::overload::OverloadConfig;
 use rnl_server::{web, RouteServer};
 use rnl_tunnel::transport::TcpTransport;
+use rnl_tunnel::wait::{wait, PollFd, Waker};
+
+/// Longest the core loop blocks with nothing ready: the period of its
+/// timer work, and poll(2)'s granularity.
+const TICK: std::time::Duration = std::time::Duration::from_millis(1);
 
 enum Event {
     RisSession(TcpStream),
@@ -58,6 +71,58 @@ enum Event {
         line: String,
         reply: mpsc::Sender<String>,
     },
+}
+
+/// The acceptor/API threads' end of the core loop's inbox: queue the
+/// event, then wake the loop out of its wait.
+#[derive(Clone)]
+struct Inbox {
+    tx: mpsc::Sender<Event>,
+    waker: Arc<Waker>,
+}
+
+impl Inbox {
+    /// `false` once the core loop is gone.
+    fn send(&self, event: Event) -> bool {
+        let sent = self.tx.send(event).is_ok();
+        self.waker.wake();
+        sent
+    }
+}
+
+/// The core loop's end: the one place either server style blocks.
+struct CoreLoop {
+    rx: mpsc::Receiver<Event>,
+    waker: Arc<Waker>,
+    fds: Vec<PollFd>,
+}
+
+impl CoreLoop {
+    fn new() -> (Inbox, CoreLoop) {
+        let (tx, rx) = mpsc::channel();
+        let waker = Arc::new(Waker::new().expect("create the core loop's waker"));
+        let inbox = Inbox {
+            tx,
+            waker: Arc::clone(&waker),
+        };
+        let fds = Vec::new();
+        (inbox, CoreLoop { rx, waker, fds })
+    }
+
+    /// Block until a session socket (`session_fds` appends them) is
+    /// ready, an [`Inbox`] is poked or [`TICK`] elapses, then hand back
+    /// the events queued meanwhile. The caller handles them and polls.
+    fn wait(&mut self, session_fds: impl FnOnce(&mut Vec<PollFd>)) -> mpsc::TryIter<'_, Event> {
+        self.fds.clear();
+        self.fds.push(self.waker.poll_fd());
+        session_fds(&mut self.fds);
+        wait(&mut self.fds, TICK);
+        // Drain before reading the queue: a poke that lands after this
+        // line stays pending and cuts the next wait short, so an event
+        // is never left sitting behind a full tick.
+        self.waker.drain();
+        self.rx.try_iter()
+    }
 }
 
 fn main() {
@@ -149,16 +214,16 @@ fn main() {
     let start = WallInstant::now();
     let now = move || Instant::from_micros(start.elapsed().as_micros() as u64);
 
-    let (tx, rx) = mpsc::channel::<Event>();
+    let (inbox, mut core) = CoreLoop::new();
 
     // Acceptor: RIS tunnel sessions.
     let ris_listener = TcpListener::bind(("0.0.0.0", ris_port)).expect("bind RIS port");
     eprintln!("routeserver: RIS sessions on :{ris_port}");
     {
-        let tx = tx.clone();
+        let inbox = inbox.clone();
         std::thread::spawn(move || {
             for stream in ris_listener.incoming().flatten() {
-                if tx.send(Event::RisSession(stream)).is_err() {
+                if !inbox.send(Event::RisSession(stream)) {
                     return;
                 }
             }
@@ -170,13 +235,13 @@ fn main() {
     eprintln!("routeserver: web-services API on :{api_port}");
     std::thread::spawn(move || {
         for stream in api_listener.incoming().flatten() {
-            let tx = tx.clone();
-            std::thread::spawn(move || serve_api_client(stream, tx));
+            let inbox = inbox.clone();
+            std::thread::spawn(move || serve_api_client(stream, inbox));
         }
     });
 
     if shards > 1 {
-        run_sharded(shards, state_dir, grace_secs, mesh, metrics_port, rx, now);
+        run_sharded(shards, state_dir, grace_secs, mesh, metrics_port, core, now);
     }
 
     // The single-threaded core loop: sessions, relay, API dispatch.
@@ -235,7 +300,7 @@ fn main() {
     });
 
     loop {
-        while let Ok(event) = rx.try_recv() {
+        for event in core.wait(|fds| server.wait_fds(fds)) {
             match event {
                 Event::RisSession(stream) => match TcpTransport::from_stream(stream) {
                     Ok(transport) => {
@@ -259,7 +324,6 @@ fn main() {
             eprintln!("routeserver: journal write failed; fail-stopping (restart to recover)");
             std::process::exit(1);
         }
-        std::thread::sleep(std::time::Duration::from_micros(500));
     }
 }
 
@@ -276,7 +340,7 @@ fn run_sharded(
     grace_secs: u64,
     mesh: bool,
     metrics_port: u16,
-    rx: mpsc::Receiver<Event>,
+    mut core: CoreLoop,
     now: impl Fn() -> Instant,
 ) -> ! {
     use rnl_server::shard::Federation;
@@ -326,7 +390,7 @@ fn run_sharded(
     let mut next_shard = 0usize;
     let mut last_snapshot = now();
     loop {
-        while let Ok(event) = rx.try_recv() {
+        for event in core.wait(|fds| fed.wait_fds(fds)) {
             match event {
                 Event::RisSession(stream) => match TcpTransport::from_stream(stream) {
                     Ok(transport) => {
@@ -366,37 +430,34 @@ fn run_sharded(
             }
         }
         // Refresh the scrape page at most every 250 ms — a snapshot
-        // walks every shard's registry, too heavy for a 500 µs loop.
+        // walks every shard's registry, too heavy for a loop that turns
+        // once per frame burst.
         if now().since(last_snapshot) >= rnl_net::time::Duration::from_millis(250) {
             last_snapshot = now();
             if let Ok(mut snap) = exposition.lock() {
                 *snap = fed.metrics_snapshot();
             }
         }
-        std::thread::sleep(std::time::Duration::from_micros(500));
     }
 }
 
-fn serve_api_client(stream: TcpStream, tx: mpsc::Sender<Event>) {
+fn serve_api_client(stream: TcpStream, inbox: Inbox) {
     let peer = stream.peer_addr().ok();
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
     let reader = BufReader::new(stream);
+    // One reply channel per connection: the loop below is strictly
+    // one-request-one-reply, so replies cannot interleave.
+    let (reply_tx, reply_rx) = mpsc::channel();
     for line in reader.lines() {
         let Ok(line) = line else { break };
         if line.trim().is_empty() {
             continue;
         }
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if tx
-            .send(Event::ApiRequest {
-                line,
-                reply: reply_tx,
-            })
-            .is_err()
-        {
+        let reply = reply_tx.clone();
+        if !inbox.send(Event::ApiRequest { line, reply }) {
             break;
         }
         let Ok(response) = reply_rx.recv() else { break };

@@ -18,6 +18,8 @@
 //! paper's web-services API (JSON in, JSON out); [`shard`] provides the
 //! §4 per-user route-server scaling.
 
+#![deny(unsafe_code)]
+
 pub mod capture;
 pub mod design;
 pub mod generate;
@@ -47,6 +49,7 @@ use rnl_tunnel::msg::{Assignment, MeshOffer, Msg, PortId, RouterId, SessionEpoch
 use rnl_tunnel::transport::{
     ClosedTransport, FrameBatch, OverflowPolicy, Transport, TransportError, DEFAULT_TX_HWM,
 };
+use rnl_tunnel::wait::PollFd;
 
 use capture::{CaptureDir, CaptureHub};
 use design::{Design, DesignError, DesignStore};
@@ -1154,6 +1157,19 @@ impl RouteServer {
             },
         );
         id
+    }
+
+    /// Append what a blocking caller should wait on between polls: one
+    /// entry per live session whose transport has a descriptor (write
+    /// interest included while its backlog is pending). Graced and dead
+    /// sessions contribute nothing; they are timer work.
+    pub fn wait_fds(&self, fds: &mut Vec<PollFd>) {
+        fds.extend(
+            self.sessions
+                .values()
+                .filter(|s| s.alive && s.graced_at.is_none())
+                .filter_map(|s| s.transport.wait_fd()),
+        );
     }
 
     /// One poll cycle: drain every session, relay data, apply

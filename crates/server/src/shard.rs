@@ -31,6 +31,7 @@ use rnl_tunnel::ring::HashRing;
 use rnl_tunnel::transport::{
     mem_pair_perfect, FrameBatch, MemTransport, OverflowPolicy, Transport,
 };
+use rnl_tunnel::wait::PollFd;
 
 use crate::design::Design;
 use crate::journal::{Durability, FileJournal, MemJournal, SharedStore};
@@ -929,6 +930,17 @@ impl Federation {
     }
 
     // -- the poll loop ------------------------------------------------
+
+    /// [`RouteServer::wait_fds`] over every live shard. Trunks are
+    /// in-process and pumped by [`Federation::poll`] itself, so session
+    /// sockets are all there is to wait on.
+    pub fn wait_fds(&self, fds: &mut Vec<PollFd>) {
+        for slot in &self.slots {
+            if let Some(server) = slot.server.as_ref() {
+                server.wait_fds(fds);
+            }
+        }
+    }
 
     /// One federation tick: fire due fault events, auto-recover shards
     /// whose down-window passed, supervise trunks (redial with jittered

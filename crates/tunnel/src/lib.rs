@@ -23,6 +23,10 @@
 //!   ratio").
 //! * [`ring`] — the consistent-hash ring mapping principals to
 //!   route-server shards (§4: one route server per user, generalized).
+//! * [`wait`] — the readiness wait (`poll(2)` + a cross-thread waker)
+//!   the deployable `routeserver` and `ris` loops block in.
+
+#![deny(unsafe_code)]
 
 pub mod codec;
 pub mod compress;
@@ -32,6 +36,7 @@ pub mod mesh;
 pub mod msg;
 pub mod ring;
 pub mod transport;
+pub mod wait;
 
 pub use faults::{
     FaultKind, FaultPlan, FaultWindow, ShardFaultEvent, ShardFaultKind, ShardFaultPlan,

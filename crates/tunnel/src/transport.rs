@@ -26,6 +26,7 @@ use crate::codec::FrameCodec;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::impair::{ImpairModel, Impairment};
 use crate::msg::{DecodeError, EncodeError, Msg};
+use crate::wait::PollFd;
 
 /// Optional metric handles a transport updates on its hot path. All
 /// handles default to absent; [`TransportMetrics::from_registry`] wires
@@ -256,6 +257,15 @@ pub trait Transport: Send {
     /// Defaults to all-zero for transports without such bookkeeping.
     fn stats(&self) -> TransportStats {
         TransportStats::default()
+    }
+
+    /// What a blocking core loop should hand to [`crate::wait::wait`]
+    /// on this transport's behalf: its descriptor, with write interest
+    /// while a transmit backlog is pending. `None` (the default) means
+    /// nothing to block on — an in-memory pair, the closed stub, a dead
+    /// connection — and the loop's tick drives the transport instead.
+    fn wait_fd(&self) -> Option<PollFd> {
+        None
     }
 }
 
@@ -834,6 +844,15 @@ impl Transport for TcpTransport {
 
     fn set_backlog_policy(&mut self, bytes: usize, policy: OverflowPolicy) {
         self.set_backlog_limit(bytes, policy);
+    }
+
+    /// A dead connection reports no fd: its socket stays readable (EOF)
+    /// forever, which would turn the waiter's loop into a spin.
+    #[cfg(unix)]
+    fn wait_fd(&self) -> Option<PollFd> {
+        use std::os::unix::io::AsRawFd;
+        self.connected
+            .then(|| PollFd::new(self.stream.as_raw_fd(), !self.tx_backlog.is_empty()))
     }
 }
 

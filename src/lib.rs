@@ -28,6 +28,8 @@
 //!
 //! Start with `examples/quickstart.rs`.
 
+#![deny(unsafe_code)]
+
 pub use rnl_analysis as analysis;
 pub use rnl_core as core;
 pub use rnl_device as device;

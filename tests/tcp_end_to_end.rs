@@ -6,6 +6,11 @@
 //!
 //! Virtual time is derived from the wall clock at 50×, so second-scale
 //! protocol timers elapse in milliseconds of test time.
+//!
+//! Both sides drive their loops the way the `routeserver` and `ris`
+//! binaries do: poll, then block in `rnl::tunnel::wait` on the
+//! descriptors `wait_fds` reports until a socket is ready or the tick
+//! elapses.
 
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -19,12 +24,21 @@ use rnl::server::design::Design;
 use rnl::server::RouteServer;
 use rnl::tunnel::msg::PortId;
 use rnl::tunnel::transport::TcpTransport;
+use rnl::tunnel::wait::{wait, PollFd};
 
 /// Wall→virtual time acceleration.
 const WARP: u64 = 50;
 
 fn vnow(start: WallInstant) -> Instant {
     Instant::from_micros(start.elapsed().as_micros() as u64 * WARP)
+}
+
+/// The blocking half of a core-loop turn: wait on whatever `wait_fds`
+/// appends, for at most the binaries' 1 ms tick.
+fn park(wait_fds: impl FnOnce(&mut Vec<PollFd>)) {
+    let mut fds = Vec::new();
+    wait_fds(&mut fds);
+    wait(&mut fds, std::time::Duration::from_millis(1));
 }
 
 #[test]
@@ -62,7 +76,7 @@ fn lab_runs_over_real_tcp_loopback() {
                     ping_started = true;
                 }
             }
-            std::thread::sleep(std::time::Duration::from_micros(500));
+            park(|fds| ris.wait_fds(fds));
         }
         let now = vnow(start);
         let out = ris.device_mut(0).expect("host").console("show ping", now);
@@ -80,7 +94,7 @@ fn lab_runs_over_real_tcp_loopback() {
     while server.inventory().len() < 2 {
         assert!(WallInstant::now() < deadline, "registration never arrived");
         server.poll(vnow(start));
-        std::thread::sleep(std::time::Duration::from_micros(500));
+        park(|fds| server.wait_fds(fds));
     }
     let ids: Vec<_> = server.inventory().list().map(|r| r.id).collect();
     let mut design = Design::new("tcp-lab");
@@ -98,13 +112,13 @@ fn lab_runs_over_real_tcp_loopback() {
     let deadline = WallInstant::now() + std::time::Duration::from_secs(10);
     while server.stats().frames_routed < 8 && WallInstant::now() < deadline {
         server.poll(vnow(start));
-        std::thread::sleep(std::time::Duration::from_micros(500));
+        park(|fds| server.wait_fds(fds));
     }
     // A little grace so the last replies reach the RIS.
     let grace = WallInstant::now() + std::time::Duration::from_millis(300);
     while WallInstant::now() < grace {
         server.poll(vnow(start));
-        std::thread::sleep(std::time::Duration::from_micros(500));
+        park(|fds| server.wait_fds(fds));
     }
 
     stop.store(true, Ordering::Relaxed);
@@ -153,7 +167,7 @@ fn two_tcp_sessions_two_isolated_labs() {
                     ris.device_mut(0).expect("host").console(&target, now);
                     started = true;
                 }
-                std::thread::sleep(std::time::Duration::from_micros(500));
+                park(|fds| ris.wait_fds(fds));
             }
             let now = vnow(start);
             tx.send(ris.device_mut(0).expect("host").console("show ping", now))
@@ -171,7 +185,7 @@ fn two_tcp_sessions_two_isolated_labs() {
     while server.inventory().len() < 4 {
         assert!(WallInstant::now() < deadline, "registrations never arrived");
         server.poll(vnow(start));
-        std::thread::sleep(std::time::Duration::from_micros(500));
+        park(|fds| server.wait_fds(fds));
     }
     // One design per session's pair.
     let mut by_pc: std::collections::BTreeMap<String, Vec<rnl::tunnel::msg::RouterId>> =
@@ -193,12 +207,12 @@ fn two_tcp_sessions_two_isolated_labs() {
     let deadline = WallInstant::now() + std::time::Duration::from_secs(10);
     while server.stats().frames_routed < 12 && WallInstant::now() < deadline {
         server.poll(vnow(start));
-        std::thread::sleep(std::time::Duration::from_micros(500));
+        park(|fds| server.wait_fds(fds));
     }
     let grace = WallInstant::now() + std::time::Duration::from_millis(300);
     while WallInstant::now() < grace {
         server.poll(vnow(start));
-        std::thread::sleep(std::time::Duration::from_micros(500));
+        park(|fds| server.wait_fds(fds));
     }
     stop.store(true, Ordering::Relaxed);
     for (i, rx) in results.into_iter().enumerate() {
