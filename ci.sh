@@ -63,5 +63,10 @@ bash wallbench/run.sh --workload relay_small --seed 1 --seconds 5 --trace 0
 # Same again with the hosts behind two `ris` child processes: the only
 # workload whose frames cross the `ris` binary's own wait loop.
 bash wallbench/run.sh --workload stack_ping --seed 1 --seconds 5 --trace 0
+# And with 1500 B template-similar frames and RIS compression on: the
+# only step that pushes a compressed frame through the real binaries
+# (encode in the RIS, expand in the relay, byte-for-byte check at the
+# far end).
+bash wallbench/run.sh --workload relay_bulk --seed 1 --seconds 5 --trace 0
 
 echo "ci: all checks passed"

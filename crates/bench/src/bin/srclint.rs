@@ -40,6 +40,7 @@ const HOT_PATHS: &[&str] = &[
     "crates/tunnel/src/ring.rs",
     "crates/tunnel/src/codec.rs",
     "crates/tunnel/src/msg.rs",
+    "crates/tunnel/src/compress.rs",
     "crates/l1switch/src/lib.rs",
     "crates/analysis/src/lib.rs",
     "crates/analysis/src/checks.rs",

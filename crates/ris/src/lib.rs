@@ -137,6 +137,10 @@ pub struct Ris {
     compression: bool,
     compressors: HashMap<(RouterId, PortId), Compressor>,
     decompressors: HashMap<(RouterId, PortId), Decompressor>,
+    /// Reusable buffers for the compressed encoding of an upstream
+    /// frame and the expansion of a downstream one.
+    compress_scratch: Vec<u8>,
+    expand_scratch: Vec<u8>,
     heartbeat_seq: u64,
     /// Identifies this instance (token) and its reconnect count
     /// (generation) to the server, so a rejoin can be told apart from an
@@ -195,6 +199,8 @@ impl Ris {
             compression: false,
             compressors: HashMap::new(),
             decompressors: HashMap::new(),
+            compress_scratch: Vec::new(),
+            expand_scratch: Vec::new(),
             heartbeat_seq: 0,
             epoch: SessionEpoch {
                 token: session_token(pc_name),
@@ -297,7 +303,7 @@ impl Ris {
                 frame,
             } = msg
             {
-                match self.deliver(router, port, span, frame, now) {
+                match self.deliver(router, port, span, &frame, now) {
                     Ok(()) | Err(RisError::UnknownRouter(_)) => {}
                     Err(e) => return Err(e),
                 }
@@ -395,7 +401,7 @@ impl Ris {
                 span,
                 frame,
             } => {
-                self.deliver(router, port, span, frame, now)?;
+                self.deliver(router, port, span, &frame, now)?;
             }
             Msg::DataCompressed {
                 router,
@@ -403,13 +409,19 @@ impl Ris {
                 span,
                 encoded,
             } => {
-                let frame = self
+                // The scratch moves out of `self` while `deliver`
+                // borrows it whole, and back in with its capacity.
+                let mut frame = std::mem::take(&mut self.expand_scratch);
+                frame.clear();
+                let delivered = self
                     .decompressors
                     .entry((router, port))
                     .or_default()
-                    .decode(&encoded)
-                    .map_err(RisError::Compression)?;
-                self.deliver(router, port, span, frame, now)?;
+                    .decode_into(&encoded, &mut frame)
+                    .map_err(RisError::Compression)
+                    .and_then(|()| self.deliver(router, port, span, &frame, now));
+                self.expand_scratch = frame;
+                delivered?;
             }
             Msg::Console { router, line } => {
                 let idx = self.device_index(router)?;
@@ -496,7 +508,7 @@ impl Ris {
         router: RouterId,
         port: PortId,
         span: Span,
-        frame: Vec<u8>,
+        frame: &[u8],
         now: Instant,
     ) -> Result<(), RisError> {
         let idx = self.device_index(router)?;
@@ -519,7 +531,7 @@ impl Ris {
         }
         let emissions = self.devices[idx]
             .device
-            .on_frame(port.0 as usize, &frame, now);
+            .on_frame(port.0 as usize, frame, now);
         let local_id = self.devices[idx].info.local_id;
         for e in emissions {
             self.capture_and_send(local_id, e.port, e.frame, now)?;
@@ -600,11 +612,14 @@ impl Ris {
         };
         let frame_len = frame.len();
         let msg = if self.compression {
-            let encoded = self
-                .compressors
+            // Encoded into the buffer the previous frame's message gave
+            // back: no allocation once it has grown to the traffic.
+            let mut encoded = std::mem::take(&mut self.compress_scratch);
+            encoded.clear();
+            self.compressors
                 .entry((router, port))
                 .or_default()
-                .encode(&frame);
+                .encode_into(&frame, &mut encoded);
             self.m_bytes_up.add(encoded.len() as u64);
             self.m_comp_in.add(frame_len as u64);
             self.m_comp_out.add(encoded.len() as u64);
@@ -646,7 +661,11 @@ impl Ris {
         };
         perf.mark("encode");
         self.m_frames_up.inc();
-        self.transport.send(&msg, now)?;
+        let sent = self.transport.send(&msg, now);
+        if let Msg::DataCompressed { encoded, .. } = msg {
+            self.compress_scratch = encoded;
+        }
+        sent?;
         Ok(())
     }
 

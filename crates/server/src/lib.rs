@@ -321,6 +321,12 @@ pub struct RouteServer {
     compressors: HashMap<(RouterId, PortId), Compressor>,
     /// Compress relayed frames toward the RIS (§4; off by default).
     compress_downstream: bool,
+    /// Reusable `Msg::Data` body a compressed ingress frame is expanded
+    /// into before it is relayed.
+    expand_scratch: Vec<u8>,
+    /// Reusable `Msg::DataCompressed` body downstream compression
+    /// encodes into.
+    compress_scratch: Vec<u8>,
     /// The §2.3 traffic-generation module.
     generator: Generator,
     /// Whether deploy requires a covering reservation. On by default —
@@ -565,6 +571,8 @@ impl RouteServer {
             decompressors: HashMap::new(),
             compressors: HashMap::new(),
             compress_downstream: false,
+            expand_scratch: Vec::new(),
+            compress_scratch: Vec::new(),
             generator: Generator::new(),
             enforce_reservations: true,
             verify_on_deploy: false,
@@ -1297,16 +1305,15 @@ impl RouteServer {
         self.poll_ids = ids;
     }
 
-    /// Dispatch one received frame: a data frame that can leave as the
-    /// bytes it arrived in is relayed in place; everything else (control
-    /// traffic, compressed data, or any relay that must re-encode) takes
+    /// Dispatch one received frame: a data frame, plain or compressed,
+    /// is relayed from the bytes it arrived in; everything else takes
     /// the owned decode and [`RouteServer::handle_msg`]. A frame that
     /// fails the owned decode is a protocol error and kills the session.
     fn handle_frame(&mut self, sid: SessionId, batch: &mut FrameBatch, i: usize, now: Instant) {
         let Some(body) = batch.get_mut(i) else {
             return;
         };
-        if self.relay_borrowed(body, now) {
+        if self.relay_body(body, now) {
             return;
         }
         match Msg::decode(body) {
@@ -1574,18 +1581,6 @@ impl RouteServer {
                     self.reoffer_mesh_for_routers(&adopted);
                 }
             }
-            Msg::Data {
-                router,
-                port,
-                span,
-                frame,
-            } => self.relay_owned((router, port), span, frame, false, now),
-            Msg::DataCompressed {
-                router,
-                port,
-                span,
-                encoded,
-            } => self.relay_owned((router, port), span, encoded, true, now),
             Msg::ConsoleReply { router, output } => {
                 // The round-trip completed; its deadline is met. Feed
                 // the issue-to-reply gap into the console quantile.
@@ -1611,6 +1606,10 @@ impl RouteServer {
                 self.admit_relay(now);
                 self.inventory.touch_session(sid, now);
             }
+            // Data frames never get this far: `handle_frame` relays
+            // every well-formed one from its encoded body, and a
+            // malformed one fails the owned decode.
+            Msg::Data { .. } | Msg::DataCompressed { .. } => {}
             // Server-to-RIS messages arriving upstream are ignored, as
             // are mesh messages — those travel peer-to-peer, never up
             // the tunnel.
@@ -2032,6 +2031,14 @@ impl RouteServer {
         let revoked = self.mesh.remove_dep(id);
         if !revoked.is_empty() {
             self.revoke_mesh_wires(revoked);
+        }
+        // The relay's cached metric handles go with the wires they
+        // count: a later deployment may wire the same port to another
+        // far end, and must register under its own `wire` label.
+        self.deployment_frames.remove(&id);
+        for &(a, b) in self.matrix.links_of(id).unwrap_or(&[]) {
+            self.wire_metrics.remove(&a);
+            self.wire_metrics.remove(&b);
         }
         let had_record = self.deployments.remove(&id).is_some();
         let torn = self.matrix.teardown(id);
@@ -2603,16 +2610,15 @@ mod tests {
     fn decode_errors_are_their_own_unrouted_reason() {
         let (mut server, _ris, r1, _r2) = two_host_lab();
         let sid = server.sessions.keys().copied().next().unwrap();
-        server.handle_msg(
-            sid,
-            Msg::DataCompressed {
-                router: r1,
-                port: PortId(0),
-                span: Span::NONE,
-                encoded: vec![9, 1, 2],
-            },
-            t(10),
-        );
+        let mut body = Msg::DataCompressed {
+            router: r1,
+            port: PortId(0),
+            span: Span::NONE,
+            encoded: vec![9, 1, 2],
+        }
+        .encode();
+        assert!(server.relay_body(&mut body, t(10)));
+        assert!(server.sessions[&sid].alive, "the session survives");
         let snap = server.obs().snapshot();
         assert_eq!(
             snap.counter(
@@ -2622,6 +2628,67 @@ mod tests {
             1
         );
         assert_eq!(server.stats().frames_unrouted, 1);
+    }
+
+    /// Regression: the relay's cached metric handles outlived their
+    /// deployment. `wire_metrics` is keyed by the source port and was
+    /// never invalidated, so a port re-wired to another far end kept
+    /// counting under the first wire's label; `deployment_frames`
+    /// leaked one counter handle per deploy/teardown cycle.
+    #[test]
+    fn relay_caches_die_with_their_deployment() {
+        let mut server = RouteServer::new();
+        server.set_enforce_reservations(false);
+        let (ris_side, server_side) = mem_pair_perfect(13);
+        server.attach(Box::new(server_side));
+        let mut ris = Ris::new("pc1", Box::new(ris_side));
+        for (i, name) in ["a", "b", "c"].iter().enumerate() {
+            ris.add_device(host(name, 31 + i as u32, "10.0.0.1/24", None), name);
+        }
+        ris.join_labs(t(0)).unwrap();
+        server.poll(t(0));
+        ris.poll(t(0)).unwrap();
+        let [a, b, c] = [0, 1, 2].map(|i| ris.router_id(i).unwrap());
+
+        // Deploy a:0–`far`:0, relay one frame from a:0, tear down.
+        fn cycle(server: &mut RouteServer, a: RouterId, far: RouterId) {
+            let mut design = Design::new("cycle");
+            design.add_device(a);
+            design.add_device(far);
+            design.connect((a, PortId(0)), (far, PortId(0))).unwrap();
+            let id = server.deploy_design("alice", &design, t(1)).unwrap();
+            let mut body = Msg::Data {
+                router: a,
+                port: PortId(0),
+                span: Span::NONE,
+                frame: vec![0x5a; 64],
+            }
+            .encode();
+            assert!(server.relay_body(&mut body, t(1)));
+            assert_eq!(server.deployment_frames.len(), 1);
+            assert_eq!(server.wire_metrics.len(), 1);
+            assert!(server.teardown(id));
+        }
+        let wire_frames = |server: &RouteServer, far: RouterId| {
+            let wire = format!("r{}p0-r{}p0", a.0, far.0);
+            server
+                .obs()
+                .snapshot()
+                .counter("rnl_server_wire_frames_total", &[("wire", &wire)])
+        };
+
+        cycle(&mut server, a, b);
+        cycle(&mut server, a, c);
+        assert_eq!(wire_frames(&server, b), 1);
+        assert_eq!(wire_frames(&server, c), 1, "counted under the new wire");
+
+        for _ in 0..1_000 {
+            cycle(&mut server, a, b);
+        }
+        assert!(server.deployment_frames.is_empty());
+        assert!(server.wire_metrics.is_empty());
+        assert_eq!(wire_frames(&server, b), 1_001);
+        assert_eq!(server.stats().frames_routed, 1_002);
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //!   → settle the send outcome (server-tx hop, or unrouted + reason)
 //! ```
 //!
-//! The only thing that varies is how the frame is *carried*
-//! ([`Carrier`]), and that is decided from what the code can observe —
-//! the frame's kind and whether downstream compression is on — never
-//! from a switch somebody sets.
+//! The frame travels through all of it as one encoded `Msg::Data`
+//! body that the relay borrows and patches in place. An uncompressed
+//! frame is already that, in the receive batch; a template-compressed
+//! one (§4) is first expanded into a server-owned scratch that carries
+//! the same header. Neither costs an allocation once the buffers have
+//! grown to the traffic.
 
 use rnl_l1switch::{L1Output, PortTarget};
 use rnl_net::time::Instant;
@@ -30,114 +32,65 @@ use crate::{RouteServer, SendOutcome, TrunkFrame, WireMetrics};
 /// A (router, port) wire endpoint.
 type Endpoint = (RouterId, PortId);
 
-/// How a data frame travels through the relay.
-enum Carrier<'a> {
-    /// The encoded body of an uncompressed `Msg::Data`, borrowed from
-    /// the receive batch: the destination is patched into the same
-    /// bytes and they leave through [`Transport::send_raw`] — no
-    /// [`Msg`], no re-encode, zero allocations.
-    ///
-    /// [`Transport::send_raw`]: rnl_tunnel::transport::Transport::send_raw
-    Borrowed(&'a mut [u8]),
-    /// An owned payload that is re-encoded on the way out: the frame
-    /// arrived compressed, or downstream compression is on.
-    Owned(Vec<u8>),
-}
-
-impl Carrier<'_> {
-    /// The L2 frame being relayed.
-    fn payload(&self) -> &[u8] {
-        match self {
-            Carrier::Borrowed(body) => body.get(DATA_HEADER..).unwrap_or(&[]),
-            Carrier::Owned(frame) => frame,
-        }
-    }
-
-    /// The encoded `Msg::Data` body, addressed to `dst`, that an
-    /// inter-shard trunk forwards — the single buffer the trunk must
-    /// own.
-    fn into_trunk_body(self, (router, port): Endpoint, span: Span) -> Vec<u8> {
-        match self {
-            Carrier::Borrowed(body) => {
-                let _ = Msg::patch_data_dest(body, router, port);
-                body.to_vec()
-            }
-            Carrier::Owned(frame) => Msg::Data {
-                router,
-                port,
-                span,
-                frame,
-            }
-            .encode(),
-        }
-    }
-}
-
 impl RouteServer {
-    /// Relay a received body in place when it can leave as the very
-    /// bytes it arrived in: an uncompressed data frame, with downstream
-    /// compression off. Returns `false` (body untouched) for anything
+    /// Relay a received body if it is a well-formed data frame, plain
+    /// or compressed. Returns `false` (body untouched) for anything
     /// else; the caller then takes the owned decode, which reports
     /// exactly the errors a malformed data body deserves.
-    pub(super) fn relay_borrowed(&mut self, body: &mut [u8], now: Instant) -> bool {
-        if self.compress_downstream {
-            // Egress re-encodes every frame: it has to be owned.
-            return false;
+    pub(super) fn relay_body(&mut self, body: &mut [u8], now: Instant) -> bool {
+        if let Some(data) = Msg::peek_data(body) {
+            let (src, span) = ((data.router, data.port), data.span);
+            let mut perf = self.p_relay.scope();
+            perf.mark("decode"); // borrowed header peek: decode is ~free
+            self.admit_relay(now);
+            self.relay(src, span, body, now, perf);
+            return true;
         }
-        let Some(data) = Msg::peek_data(body) else {
+        let Some(data) = Msg::peek_data_compressed(body) else {
             return false;
         };
         let (src, span) = ((data.router, data.port), data.span);
         let mut perf = self.p_relay.scope();
-        perf.mark("decode"); // borrowed header peek: decode is ~free
         self.admit_relay(now);
-        self.relay(src, span, Carrier::Borrowed(body), now, perf);
+        // The scratch moves out of `self` for the relay (which borrows
+        // `self` whole) and back in afterwards with its capacity.
+        let mut expanded = std::mem::take(&mut self.expand_scratch);
+        let mut decoded = Ok(());
+        let decompressor = self.decompressors.entry(src).or_default();
+        Msg::encode_data_into(&mut expanded, false, src, span, |out| {
+            decoded = decompressor.decode_into(data.payload, out);
+        });
+        match decoded {
+            Ok(()) => {
+                perf.mark("decode");
+                self.relay(src, span, &mut expanded, now, perf);
+            }
+            // A desynchronized stream is a session-level fault; count
+            // the frame as unroutable and move on.
+            Err(_) => self.frame_unrouted(src.0, src.1, MissReason::DecodeError, span.trace, now),
+        }
+        self.expand_scratch = expanded;
         true
     }
 
-    /// Relay a decoded data message: `frame` is the L2 payload, or its
-    /// template-compressed encoding when `compressed`.
-    pub(super) fn relay_owned(
-        &mut self,
-        src: Endpoint,
-        span: Span,
-        mut frame: Vec<u8>,
-        compressed: bool,
-        now: Instant,
-    ) {
-        let mut perf = self.p_relay.scope();
-        self.admit_relay(now);
-        if compressed {
-            frame = match self.decompressors.entry(src).or_default().decode(&frame) {
-                Ok(frame) => frame,
-                // A desynchronized stream is a session-level fault;
-                // count the frame as unroutable and move on.
-                Err(_) => {
-                    self.frame_unrouted(src.0, src.1, MissReason::DecodeError, span.trace, now);
-                    return;
-                }
-            };
-        }
-        perf.mark("decode");
-        self.relay(src, span, Carrier::Owned(frame), now, perf);
-    }
-
     /// The Fig. 4 packet path: unwrap → matrix lookup → wrap → forward.
-    /// `perf` is the relay profiling scope opened at receipt (its
-    /// `decode` phase already marked); this marks `matrix` and `encode`
-    /// and the total is recorded when it drops.
+    /// `body` is the frame as an encoded `Msg::Data`, still addressed
+    /// from `src`. `perf` is the relay profiling scope opened at
+    /// receipt (its `decode` phase already marked); this marks `matrix`
+    /// and `encode` and the total is recorded when it drops.
     fn relay(
         &mut self,
         src: Endpoint,
         span: Span,
-        carrier: Carrier<'_>,
+        body: &mut [u8],
         now: Instant,
         mut perf: PerfScope,
     ) {
-        let bytes = carrier.payload().len() as u64;
+        let payload = body.get(DATA_HEADER..).unwrap_or(&[]);
+        let bytes = payload.len() as u64;
         self.record_hop(Hop::ServerRx, src, span, bytes, now);
         self.captures
-            .tap(src.0, src.1, CaptureDir::FromPort, carrier.payload(), now);
+            .tap(src.0, src.1, CaptureDir::FromPort, payload, now);
         // The remote routes are consulted only on a local miss, so
         // intra-shard traffic pays nothing for federation.
         let local = self.bridged(src).or_else(|| self.matrix.lookup(src));
@@ -148,44 +101,37 @@ impl RouteServer {
         self.record_hop(Hop::MatrixHit, dst, span, bytes, now);
         if local.is_none() {
             // Cross-shard wire: re-address the frame and hand it to the
-            // trunk outbox. The shard that fronts `dst` taps, sends and
-            // settles it in `deliver_remote`.
+            // trunk outbox — the one buffer the trunk must own. The
+            // shard that fronts `dst` taps, sends and settles it in
+            // `deliver_remote`.
             self.m_trunk_out.inc();
+            let _ = Msg::patch_data_dest(body, dst.0, dst.1);
             self.trunk_outbox.push(TrunkFrame {
                 dst_router: dst.0,
-                body: carrier.into_trunk_body(dst, span),
+                body: body.to_vec(),
             });
             return;
         }
         self.captures
-            .tap(dst.0, dst.1, CaptureDir::ToPort, carrier.payload(), now);
+            .tap(dst.0, dst.1, CaptureDir::ToPort, payload, now);
         perf.mark("matrix");
         self.account(src, dst, span, bytes, now);
-        let outcome = match carrier {
-            Carrier::Borrowed(body) => {
-                let _ = Msg::patch_data_dest(body, dst.0, dst.1);
-                perf.mark("encode"); // in-place patch: encode never copies
-                self.send_raw_to_router(dst.0, body, now)
-            }
-            Carrier::Owned(frame) => {
-                let msg = if self.compress_downstream {
-                    Msg::DataCompressed {
-                        router: dst.0,
-                        port: dst.1,
-                        span,
-                        encoded: self.compressors.entry(dst).or_default().encode(&frame),
-                    }
-                } else {
-                    Msg::Data {
-                        router: dst.0,
-                        port: dst.1,
-                        span,
-                        frame,
-                    }
-                };
-                perf.mark("encode");
-                self.send_to_router(dst.0, msg, now)
-            }
+        let outcome = if self.compress_downstream {
+            // §4 toward the RIS: the payload is encoded straight into a
+            // second scratch that already carries the outgoing header.
+            let mut wrapped = std::mem::take(&mut self.compress_scratch);
+            let compressor = self.compressors.entry(dst).or_default();
+            Msg::encode_data_into(&mut wrapped, true, dst, span, |out| {
+                compressor.encode_into(payload, out);
+            });
+            perf.mark("encode");
+            let outcome = self.send_raw_to_router(dst.0, &wrapped, now);
+            self.compress_scratch = wrapped;
+            outcome
+        } else {
+            let _ = Msg::patch_data_dest(body, dst.0, dst.1);
+            perf.mark("encode"); // in-place patch: encode never copies
+            self.send_raw_to_router(dst.0, body, now)
         };
         self.settle(outcome, dst, span, bytes, now);
     }

@@ -1,25 +1,28 @@
-//! Differential tests: the relay's two carriers must be observably
-//! identical.
+//! Differential tests: a frame is relayed the same way however it
+//! reached the server.
 //!
-//! The relay is one routine parameterised only by how a frame is
-//! carried: an uncompressed `Msg::Data` body is borrowed, patched in
-//! place and `send_raw`'d; a `Msg::DataCompressed` frame is decoded
-//! into an owned payload and re-encoded. Which one runs is decided by
-//! the input alone, so each scenario drives the *same* seeded workload
-//! — impaired links, scheduled fault windows, mixed data/heartbeat
-//! traffic, a cut with a later rejoin that flushes the replay buffer —
-//! once per carrier and compares everything either side can observe:
-//! the decoded messages every endpoint received (destinations, spans,
-//! payloads), the server's Fig. 4 hop journal, and the relay counters.
-//! A golden assertion pins the shared middle to the hop sequence it
-//! must produce, so it is checked by something other than itself.
+//! The relay is one routine over one carrier — an encoded `Msg::Data`
+//! body, borrowed, patched in place and `send_raw`'d. A plain frame
+//! arrives as that body; a `Msg::DataCompressed` frame is first
+//! expanded into a server-owned scratch that carries the same header.
+//! Which happens is decided by the input alone, so each scenario drives
+//! the *same* seeded workload — impaired links, scheduled fault
+//! windows, mixed data/heartbeat traffic, a cut with a later rejoin
+//! that flushes the replay buffer — once per ingress encoding and
+//! compares everything either side can observe: the decoded messages
+//! every endpoint received (destinations, spans, payloads), the
+//! server's Fig. 4 hop journal, the `FromPort`/`ToPort` capture taps,
+//! and the relay counters. A golden assertion pins the shared middle to
+//! the hop sequence it must produce, so it is checked by something
+//! other than itself.
 
 use proptest::prelude::*;
 use rnl_net::time::{Duration, Instant};
 use rnl_obs::{FrameEvent, Hop, Span, TraceIdGen};
+use rnl_server::capture::{CaptureDir, CapturedFrame};
 use rnl_server::design::Design;
 use rnl_server::RouteServer;
-use rnl_tunnel::compress::Compressor;
+use rnl_tunnel::compress::{Compressor, Decompressor};
 use rnl_tunnel::faults::{FaultKind, FaultPlan};
 use rnl_tunnel::impair::Impairment;
 use rnl_tunnel::msg::{
@@ -27,14 +30,14 @@ use rnl_tunnel::msg::{
 };
 use rnl_tunnel::transport::{mem_pair, MemTransport, Transport};
 
-/// How endpoint a puts its frames on the tunnel — which is all that
-/// selects the relay's carrier.
+/// How endpoint a puts its frames on the tunnel.
 #[derive(Debug, Clone, Copy)]
-enum Carrier {
-    /// `Msg::Data`: relayed as borrowed bytes.
-    Borrowed,
-    /// `Msg::DataCompressed`: relayed as an owned payload.
-    Owned,
+enum Ingress {
+    /// `Msg::Data`: relayed from the receive batch.
+    Plain,
+    /// `Msg::DataCompressed`: expanded into the server's scratch, then
+    /// relayed from there.
+    Compressed,
 }
 
 /// One deterministic workload, fully described by plain data so both
@@ -63,6 +66,9 @@ struct Scenario {
     /// Both routers behind ONE session: the wire rides the L1 bridge
     /// instead of the matrix.
     colocated: bool,
+    /// §4 toward the RIS: the server compresses what it relays, and
+    /// the endpoints expand it again before comparing.
+    compress_downstream: bool,
 }
 
 /// Everything observable from one run.
@@ -73,6 +79,8 @@ struct Observed {
     /// Every message endpoint b received (across its rejoin), in order.
     rx_b: Vec<Msg>,
     journal: Vec<FrameEvent>,
+    /// What the capture taps on both ends of the wire saw.
+    taps: Vec<CapturedFrame>,
     frames_routed: u64,
     frames_unrouted: u64,
     bytes_relayed: u64,
@@ -118,19 +126,36 @@ fn register(pc: &str, routers: u32, generation: u64) -> Msg {
     })
 }
 
-fn drain(t: &mut MemTransport, now: Instant, into: &mut Vec<Msg>) {
-    if let Ok(msgs) = t.poll(now) {
-        into.extend(msgs);
+/// Receive everything deliverable, expanding compressed data frames
+/// the way the endpoint's RIS would (one stream per endpoint here).
+fn drain(t: &mut MemTransport, now: Instant, expand: &mut Decompressor, into: &mut Vec<Msg>) {
+    for msg in t.poll(now).unwrap_or_default() {
+        into.push(match msg {
+            Msg::DataCompressed {
+                router,
+                port,
+                span,
+                encoded,
+            } => Msg::Data {
+                router,
+                port,
+                span,
+                frame: expand.decode(&encoded).expect("downstream stream in sync"),
+            },
+            other => other,
+        });
     }
 }
 
-fn run(s: &Scenario, carrier: Carrier) -> Observed {
+fn run(s: &Scenario, ingress: Ingress) -> Observed {
     let impairment = match s.impair {
         0 => Impairment::PERFECT,
         _ => Impairment::metro(),
     };
     let mut server = RouteServer::new();
     server.set_enforce_reservations(false);
+    server.set_compress_downstream(s.compress_downstream);
+    let (mut expand_a, mut expand_b) = (Decompressor::new(), Decompressor::new());
     let (mut a, sa) = mem_pair(impairment, impairment, s.seed);
     let (mut b, mut sb) = mem_pair(impairment, impairment, s.seed.wrapping_add(1));
     // Fault windows start well after the registration phase (which
@@ -180,8 +205,10 @@ fn run(s: &Scenario, carrier: Carrier) -> Observed {
         .connect((ra, PortId(0)), (rb, PortId(0)))
         .expect("connect");
     server.deploy_design("diff", &design, now).expect("deploy");
-    drain(&mut a, now, &mut rx_a);
-    drain(&mut b, now, &mut rx_b);
+    server.captures_mut().start(ra, PortId(0));
+    server.captures_mut().start(rb, PortId(0));
+    drain(&mut a, now, &mut expand_a, &mut rx_a);
+    drain(&mut b, now, &mut expand_b, &mut rx_b);
     // Jump to the fault horizon so scheduled windows and the traffic
     // phase line up deterministically across runs.
     now = fault_start;
@@ -199,14 +226,14 @@ fn run(s: &Scenario, carrier: Carrier) -> Observed {
         if let Some(first) = frame.first_mut() {
             *first = i as u8;
         }
-        let msg = match carrier {
-            Carrier::Borrowed => Msg::Data {
+        let msg = match ingress {
+            Ingress::Plain => Msg::Data {
                 router: ra,
                 port: PortId(0),
                 span,
                 frame,
             },
-            Carrier::Owned => Msg::DataCompressed {
+            Ingress::Compressed => Msg::DataCompressed {
                 router: ra,
                 port: PortId(0),
                 span,
@@ -225,8 +252,8 @@ fn run(s: &Scenario, carrier: Carrier) -> Observed {
             .expect("send");
         }
         server.poll(now);
-        drain(&mut a, now, &mut rx_a);
-        drain(&mut b, now, &mut rx_b);
+        drain(&mut a, now, &mut expand_a, &mut rx_a);
+        drain(&mut b, now, &mut expand_b, &mut rx_b);
     }
     // The cut session comes back on a fresh transport with the same
     // token and the next generation: the server re-adopts it and
@@ -239,15 +266,15 @@ fn run(s: &Scenario, carrier: Carrier) -> Observed {
         rejoined = Some(b2);
     }
     // Fixed-length drain phase: identical tick schedule regardless of
-    // what either carrier did, so a divergence shows up as a
-    // difference, never as a hang.
+    // what either run did, so a divergence shows up as a difference,
+    // never as a hang.
     for _ in 0..400 {
         now += Duration::from_millis(1);
         server.poll(now);
-        drain(&mut a, now, &mut rx_a);
-        drain(&mut b, now, &mut rx_b);
+        drain(&mut a, now, &mut expand_a, &mut rx_a);
+        drain(&mut b, now, &mut expand_b, &mut rx_b);
         if let Some(b2) = rejoined.as_mut() {
-            drain(b2, now, &mut rx_b);
+            drain(b2, now, &mut expand_b, &mut rx_b);
         }
     }
     let stats = server.stats();
@@ -260,6 +287,10 @@ fn run(s: &Scenario, carrier: Carrier) -> Observed {
         rx_a,
         rx_b,
         journal: server.journal().events(),
+        taps: [ra, rb]
+            .iter()
+            .flat_map(|r| server.captures().captured(*r, PortId(0)).to_vec())
+            .collect(),
         frames_routed: stats.frames_routed,
         frames_unrouted: stats.frames_unrouted,
         bytes_relayed: stats.bytes_relayed,
@@ -308,11 +339,12 @@ fn assert_golden_journal(o: &Observed) {
 }
 
 proptest! {
-    /// Identical deliveries, spans, hop journal, counters and quantiles
-    /// between the borrowed and the owned carrier, under impairment,
-    /// mixed traffic, fault windows and a mid-run cut with rejoin.
+    /// Identical deliveries, spans, hop journal, taps, counters and
+    /// quantiles between plain and compressed ingress, under
+    /// impairment, mixed traffic, fault windows and a mid-run cut with
+    /// rejoin.
     #[test]
-    fn carriers_are_observably_identical(
+    fn ingress_encodings_are_observably_identical(
         seed in any::<u64>(),
         impair in 0u8..2,
         frames in 1usize..40,
@@ -332,24 +364,27 @@ proptest! {
             fault_windows,
             cut,
             colocated: false,
+            compress_downstream: false,
         };
-        let borrowed = run(&scenario, Carrier::Borrowed);
-        let owned = run(&scenario, Carrier::Owned);
-        prop_assert_eq!(&borrowed.rx_b, &owned.rx_b, "frames delivered to b diverge");
-        prop_assert_eq!(&borrowed.rx_a, &owned.rx_a, "frames delivered to a diverge");
-        prop_assert_eq!(&borrowed.journal, &owned.journal, "hop journal diverges");
-        prop_assert_eq!(&borrowed, &owned);
+        let plain = run(&scenario, Ingress::Plain);
+        let compressed = run(&scenario, Ingress::Compressed);
+        prop_assert_eq!(&plain.rx_b, &compressed.rx_b, "frames delivered to b diverge");
+        prop_assert_eq!(&plain.rx_a, &compressed.rx_a, "frames delivered to a diverge");
+        prop_assert_eq!(&plain.journal, &compressed.journal, "hop journal diverges");
+        prop_assert_eq!(&plain.taps, &compressed.taps, "capture taps diverge");
+        prop_assert_eq!(&plain, &compressed);
         if !cut {
-            assert_golden_journal(&borrowed);
+            assert_golden_journal(&plain);
+            assert_golden_journal(&compressed);
         }
     }
 }
 
-/// A cut that lands mid-traffic really does exercise the replay path on
-/// both carriers: frames are held while the session is graced and reach
-/// the rejoined endpoint afterwards.
+/// A cut that lands mid-traffic really does exercise the replay path
+/// for both ingress encodings: frames are held while the session is
+/// graced and reach the rejoined endpoint afterwards.
 #[test]
-fn cut_and_rejoin_flushes_the_replay_buffer_on_both_carriers() {
+fn cut_and_rejoin_flushes_the_replay_buffer_for_both_ingress_encodings() {
     let scenario = Scenario {
         seed: 11,
         impair: 1,
@@ -360,15 +395,16 @@ fn cut_and_rejoin_flushes_the_replay_buffer_on_both_carriers() {
         fault_windows: 0,
         cut: true,
         colocated: false,
+        compress_downstream: false,
     };
-    let borrowed = run(&scenario, Carrier::Borrowed);
-    let owned = run(&scenario, Carrier::Owned);
-    assert_eq!(borrowed, owned);
-    let delivered = borrowed.delivered().len() as u64;
+    let plain = run(&scenario, Ingress::Plain);
+    let compressed = run(&scenario, Ingress::Compressed);
+    assert_eq!(plain, compressed);
+    let delivered = plain.delivered().len() as u64;
     assert!(
-        delivered > borrowed.frames_routed,
+        delivered > plain.frames_routed,
         "some frames must arrive via the replay flush: {delivered} delivered, {} sent live",
-        borrowed.frames_routed
+        plain.frames_routed
     );
 }
 
@@ -384,28 +420,29 @@ fn colocated_wire_rides_l1_bridge_and_matches_the_matrix_wire() {
         fault_windows: 0,
         cut: false,
         colocated: false,
+        compress_downstream: false,
     };
     let bridge = Scenario {
         colocated: true,
         ..matrix.clone()
     };
-    let split = run(&matrix, Carrier::Borrowed);
+    let split = run(&matrix, Ingress::Plain);
     assert_eq!(
         split.frames_bridged, 0,
         "a cross-session wire has no bridge"
     );
-    for carrier in [Carrier::Borrowed, Carrier::Owned] {
-        let colo = run(&bridge, carrier);
+    for ingress in [Ingress::Plain, Ingress::Compressed] {
+        let colo = run(&bridge, ingress);
         assert!(
             colo.frames_bridged >= 50,
-            "{carrier:?}: the co-located wire should ride the L1 bridge, got {}",
+            "{ingress:?}: the co-located wire should ride the L1 bridge, got {}",
             colo.frames_bridged
         );
         assert!(colo.frames_routed >= 50, "frames must still relay");
         assert_eq!(
             colo.delivered(),
             split.delivered(),
-            "{carrier:?}: L1-bridged delivery diverges from the matrix wire"
+            "{ingress:?}: L1-bridged delivery diverges from the matrix wire"
         );
         assert_eq!(colo.journal, split.journal);
         assert_eq!(
@@ -434,10 +471,70 @@ fn fastpath_patches_destination_in_place() {
         fault_windows: 0,
         cut: false,
         colocated: false,
+        compress_downstream: false,
     };
-    let observed = run(&scenario, Carrier::Borrowed);
+    let observed = run(&scenario, Ingress::Plain);
     assert_eq!(observed.delivered().len(), 5);
     // Destination router is the second registered id, never the
     // source's — checked per frame alongside its hop journal.
     assert_golden_journal(&observed);
+}
+
+/// A compressed frame crosses the same Fig. 4 middle as a plain one:
+/// `ServerRx → MatrixHit → ServerTx` stamped with one constant byte
+/// count — the *expanded* payload's — and both capture taps see the
+/// expanded payload, never the delta. The same holds with §4 switched
+/// on toward the RIS as well, where the frame leaves compressed again.
+#[test]
+fn compressed_ingress_keeps_the_golden_hops_and_taps_the_expanded_payload() {
+    let upstream_only = Scenario {
+        seed: 15,
+        impair: 0,
+        frames: 24,
+        frame_len: 180,
+        step_us: 500,
+        heartbeat_every: 4,
+        fault_windows: 0,
+        cut: false,
+        colocated: false,
+        compress_downstream: false,
+    };
+    let both_ways = Scenario {
+        compress_downstream: true,
+        ..upstream_only.clone()
+    };
+    let plain = run(&upstream_only, Ingress::Plain);
+    for (scenario, ingress) in [
+        (&upstream_only, Ingress::Compressed),
+        (&both_ways, Ingress::Plain),
+        (&both_ways, Ingress::Compressed),
+    ] {
+        let observed = run(scenario, ingress);
+        assert_eq!(observed.delivered().len(), 24);
+        assert_golden_journal(&observed);
+        assert!(observed.journal.iter().all(|e| e.bytes == 180));
+        // Per frame: FromPort at the source, ToPort at the destination,
+        // both holding the frame as the device emitted it.
+        let sent: Vec<&[u8]> = observed
+            .delivered()
+            .into_iter()
+            .map(|m| match m {
+                Msg::Data { frame, .. } => frame.as_slice(),
+                _ => unreachable!("delivered() yields data frames only"),
+            })
+            .collect();
+        for (router, dir) in [(0, CaptureDir::FromPort), (1, CaptureDir::ToPort)] {
+            let seen: Vec<&[u8]> = observed
+                .taps
+                .iter()
+                .filter(|t| t.router == RouterId(router))
+                .map(|t| {
+                    assert_eq!(t.dir, dir);
+                    t.frame.as_slice()
+                })
+                .collect();
+            assert_eq!(seen, sent, "{ingress:?}: {dir:?} tap on router {router}");
+        }
+        assert_eq!(observed, plain, "{ingress:?} / {scenario:?}");
+    }
 }

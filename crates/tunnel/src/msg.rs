@@ -276,7 +276,18 @@ impl Msg {
     /// so a fast path that falls back to [`Msg::decode`] on `None`
     /// reports exactly the errors the owned decode would.
     pub fn peek_data(body: &[u8]) -> Option<DataRef<'_>> {
-        if body.len() < DATA_HEADER || body[0] != tag::DATA {
+        Self::peek_tagged(body, tag::DATA)
+    }
+
+    /// [`Msg::peek_data`] for a `DataCompressed` body — the same header
+    /// at the same offsets; `payload` is the template-compressed
+    /// encoding, not the frame.
+    pub fn peek_data_compressed(body: &[u8]) -> Option<DataRef<'_>> {
+        Self::peek_tagged(body, tag::DATA_COMPRESSED)
+    }
+
+    fn peek_tagged(body: &[u8], tag: u8) -> Option<DataRef<'_>> {
+        if body.len() < DATA_HEADER || body[0] != tag {
             return None;
         }
         let len = u32::from_be_bytes([body[23], body[24], body[25], body[26]]) as usize;
@@ -296,6 +307,38 @@ impl Msg {
             },
             payload: &body[DATA_HEADER..],
         })
+    }
+
+    /// Build an encoded `Data` body (`DataCompressed` when `compressed`)
+    /// in `out`, replacing what it held and keeping its capacity:
+    /// `payload` appends the payload bytes after the header, and the
+    /// length prefix is written once their count is known — the
+    /// relay's way to produce [`Msg::encode`]'s bytes without a
+    /// [`Msg`].
+    pub fn encode_data_into(
+        out: &mut Vec<u8>,
+        compressed: bool,
+        (router, port): (RouterId, PortId),
+        span: Span,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) {
+        out.clear();
+        out.push(if compressed {
+            tag::DATA_COMPRESSED
+        } else {
+            tag::DATA
+        });
+        out.extend_from_slice(&router.0.to_be_bytes());
+        out.extend_from_slice(&port.0.to_be_bytes());
+        out.extend_from_slice(&span.trace.0.to_be_bytes());
+        out.extend_from_slice(&span.origin_us.to_be_bytes());
+        out.extend_from_slice(&[0; 4]);
+        payload(out);
+        // A payload past the u32 prefix cannot be framed either way
+        // (`codec::MAX_FRAME` is far below it): saturate, so the
+        // receiver's length check rejects the body.
+        let len = u32::try_from(out.len() - DATA_HEADER).unwrap_or(u32::MAX);
+        out[DATA_HEADER - 4..DATA_HEADER].copy_from_slice(&len.to_be_bytes());
     }
 
     /// Rewrite the destination router/port of a `Data` or
@@ -814,6 +857,42 @@ mod tests {
         assert!(Msg::peek_data(&body).is_none());
         assert!(Msg::decode(&body).is_err());
         assert!(Msg::peek_data(&body[..DATA_HEADER - 1]).is_none());
+    }
+
+    #[test]
+    fn encode_data_into_matches_the_owned_encode() {
+        let span = Span {
+            trace: TraceId(0xfeed),
+            origin_us: 77,
+        };
+        // Stale contents and capacity from a previous, longer frame.
+        let mut out = vec![0xEE; 300];
+        for payload in [&b""[..], &[1, 2, 3, 4, 5][..]] {
+            let write = |out: &mut Vec<u8>| out.extend_from_slice(payload);
+            Msg::encode_data_into(&mut out, false, (RouterId(9), PortId(2)), span, write);
+            let owned = Msg::Data {
+                router: RouterId(9),
+                port: PortId(2),
+                span,
+                frame: payload.to_vec(),
+            };
+            assert_eq!(out, owned.encode());
+            Msg::encode_data_into(&mut out, true, (RouterId(9), PortId(2)), span, write);
+            let owned = Msg::DataCompressed {
+                router: RouterId(9),
+                port: PortId(2),
+                span,
+                encoded: payload.to_vec(),
+            };
+            assert_eq!(out, owned.encode());
+            let view = Msg::peek_data_compressed(&out).unwrap();
+            assert_eq!(
+                (view.router, view.port, view.span),
+                (RouterId(9), PortId(2), span)
+            );
+            assert_eq!(view.payload, payload);
+            assert!(Msg::peek_data(&out).is_none());
+        }
     }
 
     #[test]

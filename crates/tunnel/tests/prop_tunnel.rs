@@ -128,9 +128,24 @@ proptest! {
         }
     }
 
+    /// Whatever the bytes and whatever the ring holds: `Err`, never a
+    /// panic, and a rejected frame leaves the caller's buffer as it
+    /// was. (That the ring is left alone too is checked where it can be
+    /// seen, in `compress.rs`'s `decode_into_rejects_without_side_effects`.)
     #[test]
-    fn decompressor_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
+    fn decompressor_never_panics(
+        warm in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 0..12),
+        bytes in proptest::collection::vec(any::<u8>(), 0..128),
+    ) {
+        let mut enc = Compressor::new();
         let mut dec = Decompressor::new();
-        let _ = dec.decode(&bytes);
+        for frame in &warm {
+            prop_assert_eq!(&dec.decode(&enc.encode(frame)).unwrap(), frame);
+        }
+        let _ = Decompressor::new().decode(&bytes);
+        let mut out = b"kept".to_vec();
+        if dec.decode_into(&bytes, &mut out).is_err() {
+            prop_assert_eq!(&out, b"kept");
+        }
     }
 }
