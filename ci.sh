@@ -40,10 +40,16 @@ cargo test -q --offline -p rnl --test perf
 # E21 data-plane verification: the verifier-vs-live-deployment
 # differential oracle over seeded random designs.
 cargo test -q --offline -p rnl --test verify
-# E23 shard federation: kill-mid-storm containment (bit-for-bit
-# reproducible), the shard-fault chaos property test, and the front
-# tier's routing table.
+# E23 shard federation (membership fixed at construction, no
+# rebalance): kill-mid-storm containment (bit-for-bit reproducible),
+# the shard-fault chaos property test, and the front tier's routing
+# table (design/user names by ring, routers by id range).
 cargo test -q --offline -p rnl --test shard
+# The binaries' own contracts: `rnl-lint --json` prints exactly the web
+# API's analysis/verification payloads, and `routeserver --shards N`
+# refuses the single-server flags it would otherwise ignore.
+cargo test -q --offline -p rnl-server --test lint_cli
+cargo test -q --offline -p rnl-server --test routeserver_cli
 # E24 mesh: the direct site-to-site data plane — relay counters flat
 # while paths are healthy, seeded-cut failover within the bounded
 # window, zero frames lost in accounting, failback after the heal.

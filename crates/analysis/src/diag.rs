@@ -1,5 +1,6 @@
-//! Diagnostic types: stable codes, severities, spans, and the report
-//! renderings (human text and machine-readable JSON).
+//! Diagnostic types: stable codes, severities, spans, and the human
+//! report rendering. The JSON encoding lives beside the server's codec
+//! (`rnl_server::web::report_to_json`).
 
 use std::fmt;
 
@@ -136,53 +137,6 @@ impl Report {
         }
         out
     }
-
-    /// Machine-readable JSON. Hand-rolled so the analysis crate stays
-    /// free of third-party dependencies.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"design\":{},", json_str(&self.design)));
-        out.push_str(&format!(
-            "\"errors\":{},\"warnings\":{},\"infos\":{},",
-            self.count(Severity::Error),
-            self.count(Severity::Warning),
-            self.count(Severity::Info)
-        ));
-        out.push_str("\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":{},\"severity\":{},\"span\":{},\"message\":{}}}",
-                json_str(d.code),
-                json_str(d.severity.label()),
-                json_str(&d.span()),
-                json_str(&d.message)
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -223,18 +177,5 @@ mod tests {
         let err_pos = text.find("error[RNL0302]").expect("error line");
         let info_pos = text.find("info[RNL0001]").expect("info line");
         assert!(err_pos < info_pos, "{text}");
-    }
-
-    #[test]
-    fn json_escapes_and_counts() {
-        let r = Report {
-            design: "a\"b".into(),
-            diagnostics: vec![Diagnostic::new("RNL0302", Severity::Error, "line1\nline2")],
-        };
-        let json = r.to_json();
-        assert!(json.contains("\"design\":\"a\\\"b\""), "{json}");
-        assert!(json.contains("\\nline2"), "{json}");
-        assert!(json.contains("\"errors\":1"), "{json}");
-        assert!(json.contains("\"span\":\"design\""), "{json}");
     }
 }

@@ -942,9 +942,6 @@ mod tests {
                 "{}",
                 outcome.coverage.summary()
             );
-            let json = outcome.to_json();
-            assert!(json.contains("\"percent\":100"), "{json}");
-            assert!(json.contains("\"delivered\":true"), "{json}");
         }
 
         #[test]
@@ -1050,7 +1047,7 @@ mod tests {
 
         proptest! {
             /// `analyze` never panics on arbitrary well-formed designs,
-            /// and renderings never panic either.
+            /// and the human renderings never panic either.
             #[test]
             fn analyze_never_panics(
                 n in 1usize..8,
@@ -1063,7 +1060,6 @@ mod tests {
                 let input = arbitrary_input(n, &raw_wires, &with_config);
                 let report = analyze(&input);
                 let _ = report.render();
-                let _ = report.to_json();
                 let _ = report.summary();
                 prop_assert!(report.count(Severity::Error) <= report.diagnostics.len());
                 // The symbolic verifier must also survive anything a
@@ -1071,7 +1067,6 @@ mod tests {
                 let outcome = verify::verify(&input);
                 let _ = outcome.report.render();
                 let _ = outcome.coverage.summary();
-                let _ = outcome.to_json();
                 prop_assert!(outcome.coverage.percent() <= 100);
             }
         }

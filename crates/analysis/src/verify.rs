@@ -690,33 +690,6 @@ pub struct VerifyOutcome {
     pub pairs: Vec<PairOutcome>,
 }
 
-impl VerifyOutcome {
-    /// Machine-readable JSON combining report, coverage and pairs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"report\":");
-        out.push_str(&self.report.to_json());
-        out.push_str(",\"coverage\":");
-        out.push_str(&self.coverage.to_json());
-        out.push_str(",\"pairs\":[");
-        for (i, p) in self.pairs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"src\":\"{}\",\"src_subnet\":\"{}\",\"dst\":\"{}\",\"dst_subnet\":\"{}\",\"delivered\":{},\"detail\":{}}}",
-                p.src,
-                p.src_subnet,
-                p.dst,
-                p.dst_subnet,
-                p.delivered,
-                crate::diag::json_str(&p.detail)
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
 struct Flight {
     part: ClassPart,
     device: RouterId,

@@ -30,7 +30,7 @@ const HOT_PATHS: &[&str] = &[
     "crates/server/src/shard.rs",
     "crates/ris/src/lib.rs",
     "crates/ris/src/supervisor.rs",
-    "crates/ris/src/dialmap.rs",
+    "crates/obs/src/hash.rs",
     "crates/ris/src/mesh.rs",
     "crates/server/src/mesh.rs",
     "crates/tunnel/src/mesh.rs",

@@ -768,21 +768,6 @@ impl RemoteNetworkLabs {
         self.server.set_overload_config(cfg, now);
     }
 
-    /// Cap a site supervisor's failed dial attempts per outage
-    /// (`None` = unlimited).
-    pub fn set_site_retry_budget(
-        &mut self,
-        site: SiteId,
-        budget: Option<u32>,
-    ) -> Result<(), LabError> {
-        let s = self
-            .sites
-            .get_mut(site.0)
-            .ok_or(LabError::UnknownSite(site))?;
-        s.supervisor.set_retry_budget(budget);
-        Ok(())
-    }
-
     /// One typed web-services call.
     pub fn api(&mut self, request: Request) -> Response {
         let now = self.now;

@@ -122,8 +122,8 @@ pub struct NightlyReport {
     /// sections.
     pub perf: Vec<String>,
     /// Shard-federation summary lines (shard kills/recoveries, trunk
-    /// reconnects and drops, cross-shard containment sheds, rebalances)
-    /// — nonzero activity only. Single-server runs report nothing;
+    /// reconnects and drops, cross-shard containment sheds) — nonzero
+    /// activity only. Single-server runs report nothing;
     /// sharded rigs fill this via [`shard_section`] on the federation's
     /// registry.
     pub shard: Vec<String>,
@@ -245,8 +245,8 @@ pub fn mesh_section(obs: &rnl_obs::MetricsRegistry) -> Vec<String> {
 
 /// Shard-federation summary lines from a metrics registry — the
 /// federation's own ([`rnl_server::shard::Federation::obs`]) for
-/// sharded rigs. Nonzero activity only: a night with no shard faults,
-/// trunk flaps, or rebalances stays silent, like every other section.
+/// sharded rigs. Nonzero activity only: a night with no shard faults or
+/// trunk flaps stays silent, like every other section.
 pub fn shard_section(obs: &rnl_obs::MetricsRegistry) -> Vec<String> {
     let mut lines = Vec::new();
     for (name, label) in [
@@ -269,7 +269,6 @@ pub fn shard_section(obs: &rnl_obs::MetricsRegistry) -> Vec<String> {
             "rnl_server_shard_containment_sheds_total",
             "cross-shard frames shed",
         ),
-        ("rnl_server_shard_rebalances_total", "principals rebalanced"),
     ] {
         let v = obs.counter_sum(name);
         if v > 0 {

@@ -2,17 +2,17 @@
 //! with the single back end replaced by a [`Federation`] of
 //! hash-partitioned route-server shards.
 //!
-//! Each site's dials are aimed by a client-side [`DialMap`] (the same
-//! consistent ring the federation uses), so a supervisor redial after a
-//! flap — or after a shard kill — lands on the owning shard without any
-//! directory service. The federation polls inside
+//! Each site dials the shard that owns its principal on the federation's
+//! consistent ring ([`Federation::shard_of_principal`]), so a supervisor
+//! redial after a flap — or after a shard kill — lands on the owning
+//! shard without any directory service. The federation polls inside
 //! [`ShardedLabs::step`], which is where scheduled shard faults fire,
 //! trunks get supervised, and killed shards auto-recover from their own
 //! journals while their siblings keep serving.
 
 use rnl_device::device::Device;
 use rnl_net::time::{Duration, Instant};
-use rnl_ris::{BackoffConfig, DialMap, Dialer, Ris, RisError, Supervisor};
+use rnl_ris::{BackoffConfig, Dialer, Ris, RisError, Supervisor};
 use rnl_server::shard::Federation;
 use rnl_server::web::{self, Request, Response};
 use rnl_tunnel::faults::ShardFaultPlan;
@@ -28,12 +28,11 @@ struct ShardSite {
     pc_name: String,
 }
 
-/// Dials the shard the dial-map says owns this site's principal. A
-/// down shard refuses the dial and the supervisor backs off — exactly
-/// the flap path, reused for partial back-end failure.
+/// Dials the shard that owns this site's principal. A down shard
+/// refuses the dial and the supervisor backs off — exactly the flap
+/// path, reused for partial back-end failure.
 struct FedDialer<'a> {
     fed: &'a mut Federation,
-    map: &'a DialMap,
     pc_name: &'a str,
     seed: &'a mut u64,
 }
@@ -41,8 +40,8 @@ struct FedDialer<'a> {
 impl Dialer for FedDialer<'_> {
     fn dial(&mut self, _now: Instant) -> Result<Box<dyn Transport>, TransportError> {
         let owner = self
-            .map
-            .owning_shard(self.pc_name)
+            .fed
+            .shard_of_principal(self.pc_name)
             .ok_or(TransportError::Closed)?;
         *self.seed = self.seed.wrapping_mul(6364136223846793005).wrapping_add(1);
         let (ris_side, server_side) = mem_pair_perfect(*self.seed);
@@ -56,7 +55,6 @@ impl Dialer for FedDialer<'_> {
 /// The network cloud, scaled out: a shard federation plus sites.
 pub struct ShardedLabs {
     fed: Federation,
-    map: DialMap,
     sites: Vec<ShardSite>,
     now: Instant,
     seed: u64,
@@ -75,10 +73,8 @@ impl ShardedLabs {
         // snapshot; surface it loudly in debug, ignore in release.
         let enabled = fed.enable_mem_durability(Instant::EPOCH);
         debug_assert!(enabled.is_ok());
-        let map = DialMap::new(n_shards);
         ShardedLabs {
             fed,
-            map,
             sites: Vec::new(),
             now: Instant::EPOCH,
             seed: 0x5eed_5eed,
@@ -90,7 +86,7 @@ impl ShardedLabs {
         self.now
     }
 
-    /// The federation itself (fault injection, metrics, ring).
+    /// The federation itself (fault injection, metrics, placement).
     pub fn federation(&self) -> &Federation {
         &self.fed
     }
@@ -102,7 +98,7 @@ impl ShardedLabs {
 
     /// The shard that owns a principal (site pc-name or design name).
     pub fn owner_of(&self, principal: &str) -> Option<usize> {
-        self.map.owning_shard(principal)
+        self.fed.shard_of_principal(principal)
     }
 
     /// Add a site; its dials are routed to the shard owning `pc_name`.
@@ -113,7 +109,6 @@ impl ShardedLabs {
         let first: Box<dyn Transport> = {
             let mut dialer = FedDialer {
                 fed: &mut self.fed,
-                map: &self.map,
                 pc_name,
                 seed: &mut self.seed,
             };
@@ -178,7 +173,7 @@ impl ShardedLabs {
     }
 
     /// Advance the virtual clock one step: supervise every site
-    /// (redials go through the dial-map), poll the federation (faults
+    /// (redials go to the owning shard), poll the federation (faults
     /// fire, trunks pump, shards recover), and poll the sites again so
     /// shard replies land within the step.
     pub fn step(&mut self, dt: Duration) -> Result<(), LabError> {
@@ -187,7 +182,6 @@ impl ShardedLabs {
         for site in &mut self.sites {
             let mut dialer = FedDialer {
                 fed: &mut self.fed,
-                map: &self.map,
                 pc_name: &site.pc_name,
                 seed: &mut self.seed,
             };
@@ -235,15 +229,8 @@ impl ShardedLabs {
         web::handle_sharded(&mut self.fed, request, now)
     }
 
-    /// One typed call as if the client dialed `shard` directly — the
-    /// stale-dial-map path that exercises `wrong-shard` errors.
-    pub fn api_at(&mut self, shard: usize, request: Request) -> Response {
-        let now = self.now;
-        web::handle_at(&mut self.fed, shard, request, now)
-    }
-
     /// One typed call with a client-side retry budget: any structured
-    /// retryable error (`overloaded`, `shard-down`, `wrong-shard`)
+    /// retryable error (`overloaded`, `shard-down`)
     /// carrying a `retry_after_us` hint is retried after waiting the
     /// hint out on the virtual clock, at most `budget` times.
     pub fn api_with_retry(&mut self, request: Request, budget: u32) -> Result<Response, LabError> {

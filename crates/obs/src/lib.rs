@@ -29,6 +29,10 @@
 //!   virtual-clock duration exceeded a per-class threshold, each
 //!   carrying its [`TraceId`] for joining back to the hop trace.
 //!
+//! [`fnv1a64`] and [`mix64`] are the workspace's one copy of each
+//! deterministic hash (journal checksums, ring placement, trace-id site
+//! bits, session tokens, seeded streams all derive from them).
+//!
 //! Exposition: [`render_prometheus`] renders a snapshot in the
 //! Prometheus text format; the JSON form lives in `rnl-server`'s web
 //! API (`GetMetrics`), next to the hand-rolled JSON codec.
@@ -43,12 +47,14 @@
 
 #![deny(unsafe_code)]
 
+pub mod hash;
 pub mod journal;
 pub mod metrics;
 pub mod profile;
 pub mod quantile;
 pub mod trace;
 
+pub use hash::{fnv1a64, mix64, GOLDEN_GAMMA};
 pub use journal::{merge_trace, EventJournal, FrameEvent, Hop, MissReason};
 pub use metrics::{
     counter_deltas, render_prometheus, Counter, Gauge, Histogram, HistogramSnapshot, MetricPoint,

@@ -59,14 +59,8 @@ pub struct TraceIdGen {
 impl TraceIdGen {
     /// Allocator for a named site (e.g. the RIS `pc_name`).
     pub fn new(site: &str) -> TraceIdGen {
-        // FNV-1a over the site name.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in site.bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
         TraceIdGen {
-            site_bits: hash << 32,
+            site_bits: crate::fnv1a64(site.as_bytes()) << 32,
             next_seq: 0,
         }
     }

@@ -5,18 +5,15 @@
 //! within bound) to sketching the concatenated stream.
 
 use proptest::prelude::*;
-use rnl_obs::{QuantileSketch, QUANTILE_LADDER};
+use rnl_obs::{mix64, QuantileSketch, GOLDEN_GAMMA, QUANTILE_LADDER};
 
-/// Deterministic stream generator: a splitmix64-style scrambler over a
+/// Deterministic stream generator: a splitmix64 stream over a
 /// proptest-chosen seed, shaped by `shape`.
 fn stream(seed: u64, shape: u8, len: usize) -> Vec<u64> {
     let mut x = seed | 1;
     let mut next = move || {
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        x = x.wrapping_add(GOLDEN_GAMMA);
+        mix64(x)
     };
     match shape % 3 {
         // Uniform over [0, 1e6).

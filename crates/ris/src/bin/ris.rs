@@ -87,12 +87,7 @@ fn main() {
     };
     // Seed from the PC name so two RIS boxes do not thunder in lockstep;
     // determinism only matters under the virtual clock, not here.
-    let seed = config
-        .pc_name
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+    let seed = rnl_obs::fnv1a64(config.pc_name.as_bytes());
     let mut supervisor = Supervisor::new(seed, BackoffConfig::default(), ris.obs(), &[]);
     supervisor.set_retry_budget(retry_budget);
     eprintln!(

@@ -21,7 +21,6 @@
 #![deny(unsafe_code)]
 
 pub mod config;
-pub mod dialmap;
 pub mod mapping;
 pub mod mesh;
 pub mod supervisor;
@@ -32,15 +31,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rnl_device::device::{Device, LinkState};
 use rnl_net::time::Instant;
 use rnl_obs::{
-    Counter, EventJournal, FrameEvent, Gauge, Histogram, Hop, MetricsRegistry, PerfPoint, Quantile,
-    Span, TraceIdGen, LATENCY_BUCKETS_US,
+    fnv1a64, mix64, Counter, EventJournal, FrameEvent, Gauge, Histogram, Hop, MetricsRegistry,
+    PerfPoint, Quantile, Span, TraceIdGen, GOLDEN_GAMMA, LATENCY_BUCKETS_US,
 };
 use rnl_tunnel::compress::{Compressor, Decompressor};
 use rnl_tunnel::msg::{Msg, PortId, RegisterInfo, RouterId, RouterInfo, SessionEpoch};
 use rnl_tunnel::transport::{ClosedTransport, Transport, TransportError};
 use rnl_tunnel::wait::PollFd;
 
-pub use dialmap::DialMap;
 pub use mapping::auto_mapping;
 pub use mesh::{MeshAgent, MeshDial};
 pub use supervisor::{BackoffConfig, Dialer, Supervisor, TcpDialer};
@@ -49,23 +47,16 @@ pub use supervisor::{BackoffConfig, Dialer, Supervisor, TcpDialer};
 /// get distinct session tokens (deterministic in creation order).
 static TOKEN_SALT: AtomicU64 = AtomicU64::new(0);
 
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+fn splitmix64(z: u64) -> u64 {
+    mix64(z.wrapping_add(GOLDEN_GAMMA))
 }
 
 /// Derive this instance's session token: FNV-1a over the PC name, mixed
 /// with the process-wide salt. The token identifies the *instance*
 /// across reconnects; the epoch generation counts the reconnects.
 fn session_token(pc_name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in pc_name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    splitmix64(h ^ splitmix64(TOKEN_SALT.fetch_add(1, Ordering::Relaxed)))
+    let salt = splitmix64(TOKEN_SALT.fetch_add(1, Ordering::Relaxed));
+    splitmix64(fnv1a64(pc_name.as_bytes()) ^ salt)
 }
 
 /// RIS failure.

@@ -11,13 +11,16 @@
 //! `--coverage` prints the NetCov-style config-coverage summary (and
 //! implies `--verify`, which produces it). Exit status: 0 when no
 //! design has Error findings, 1 when any does, 2 on usage or parse
-//! failure.
+//! failure. `--json` prints one line per report in exactly the shape the
+//! web API's `analyze_design` (`analysis`) and `verify_design`
+//! (`verification`) ops answer.
 
 use std::process::ExitCode;
 
 use rnl_server::design::Design;
 use rnl_server::json::Json;
 use rnl_server::lint;
+use rnl_server::web::{report_to_json, verify_to_json};
 
 fn usage() -> ExitCode {
     eprintln!("usage: rnl-lint [--json] [--verify] [--coverage] <design.json>...");
@@ -68,7 +71,7 @@ fn main() -> ExitCode {
         };
         let report = lint::analyze_design(&design, None);
         if as_json {
-            println!("{}", report.to_json());
+            println!("{}", report_to_json(&report).encode());
         } else {
             print!("{}", report.render());
         }
@@ -76,7 +79,7 @@ fn main() -> ExitCode {
         if run_verify {
             let outcome = lint::verify_design(&design, None);
             if as_json {
-                println!("{}", outcome.to_json());
+                println!("{}", verify_to_json(&outcome).encode());
             } else {
                 print!("{}", outcome.report.render());
                 if coverage {

@@ -26,6 +26,9 @@
 //! trunks, API requests route through the sharded front tier, and each
 //! shard journals to its own `PATH/shard-<k>/` — a shard whose journal
 //! fails is killed and recovered in place while its siblings serve.
+//! The shards run the default overload policy, fsync policy and
+//! snapshot interval, so `--hwm`, `--op-deadline`, `--fsync-every` and
+//! `--snapshot-every` are refused together with `--shards N > 1`.
 //!
 //! With `--mesh` the server negotiates a direct peer path for every
 //! deployed cross-session wire (each endpoint gets the peer's pc-name
@@ -136,8 +139,16 @@ fn main() {
     let mut fsync_policy = FsyncPolicy::EveryAppend;
     let mut shards = 1usize;
     let mut mesh = false;
+    // Single-server flags the sharded loop does not apply.
+    let mut single_only: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if matches!(
+            arg.as_str(),
+            "--hwm" | "--op-deadline" | "--fsync-every" | "--snapshot-every"
+        ) {
+            single_only.push(arg.clone());
+        }
         match arg.as_str() {
             "--mesh" => mesh = true,
             "--shards" => {
@@ -208,6 +219,13 @@ fn main() {
                 };
             }
             other => usage(&format!("unknown argument {other:?}")),
+        }
+    }
+    if shards > 1 {
+        if let Some(flag) = single_only.first() {
+            usage(&format!(
+                "{flag} is not applied by --shards {shards}; drop it or run one server"
+            ));
         }
     }
 

@@ -33,6 +33,9 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
+// FNV-1a is small, dependency-free, and plenty to catch a torn write.
+use rnl_obs::fnv1a64;
+
 /// Journal format version; bumping it invalidates existing stores
 /// loudly (see [`JournalError::Version`]).
 pub const JOURNAL_VERSION: u8 = 1;
@@ -147,17 +150,6 @@ pub enum FsyncPolicy {
     /// sync per server poll instead of one per op. Crashing between
     /// flushes can lose at most the ops of the current poll interval.
     GroupCommit,
-}
-
-/// FNV-1a 64-bit checksum — small, dependency-free, and plenty to catch
-/// a torn write.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Frame one payload: version, length, checksum, payload.

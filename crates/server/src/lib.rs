@@ -83,10 +83,6 @@ pub enum ServerError {
     /// Pre-deploy static analysis found Error-severity diagnostics (the
     /// string is the rendered report). Deploy with force to override.
     Lint(String),
-    /// The symbolic data-plane verifier found Error-severity RNL05xx
-    /// findings (the string is the rendered report) and the opt-in
-    /// verify-on-deploy gate is on. Deploy with force to override.
-    Verify(String),
     /// The write-ahead journal failed (append, snapshot, or recovery).
     Durability(String),
     /// The server is above its high-water mark and shed this op; the
@@ -98,15 +94,6 @@ pub enum ServerError {
     /// The op's deadline budget expired before its RIS round-trip
     /// completed.
     DeadlineExceeded,
-    /// The op was sent to a shard that does not own its principal —
-    /// the client's dial-map is stale. Retryable against `owner` after
-    /// `retry_after`.
-    WrongShard {
-        /// The shard that owns the op's principal.
-        owner: usize,
-        /// Deterministic back-off hint before re-dispatching.
-        retry_after: Duration,
-    },
     /// The shard owning the op's principal is down (crashed or
     /// mid-recovery); siblings keep serving. Retryable after
     /// `retry_after` — by then the shard has typically replayed its WAL.
@@ -129,19 +116,11 @@ impl std::fmt::Display for ServerError {
             ServerError::UnknownRouter(r) => write!(f, "unknown router {r}"),
             ServerError::Compression(e) => write!(f, "compression: {e}"),
             ServerError::Lint(report) => write!(f, "rejected by pre-deploy analysis:\n{report}"),
-            ServerError::Verify(report) => {
-                write!(f, "rejected by data-plane verification:\n{report}")
-            }
             ServerError::Durability(m) => write!(f, "durability: {m}"),
             ServerError::Overloaded { retry_after } => {
                 write!(f, "overloaded; retry after {}us", retry_after.as_micros())
             }
             ServerError::DeadlineExceeded => write!(f, "operation deadline exceeded"),
-            ServerError::WrongShard { owner, retry_after } => write!(
-                f,
-                "wrong shard: owner is shard {owner}; retry after {}us",
-                retry_after.as_micros()
-            ),
             ServerError::ShardDown { shard, retry_after } => write!(
                 f,
                 "shard {shard} down; retry after {}us",
@@ -164,11 +143,9 @@ impl ServerError {
             ServerError::UnknownRouter(_) => "unknown-router",
             ServerError::Compression(_) => "compression",
             ServerError::Lint(_) => "lint",
-            ServerError::Verify(_) => "verify",
             ServerError::Durability(_) => "durability",
             ServerError::Overloaded { .. } => "overloaded",
             ServerError::DeadlineExceeded => "deadline-exceeded",
-            ServerError::WrongShard { .. } => "wrong-shard",
             ServerError::ShardDown { .. } => "shard-down",
         }
     }
@@ -332,9 +309,6 @@ pub struct RouteServer {
     /// Whether deploy requires a covering reservation. On by default —
     /// this is a shared facility; tests may relax it.
     enforce_reservations: bool,
-    /// Opt-in deploy gate: also run the symbolic data-plane verifier
-    /// and reject designs with RNL05xx errors (loops, blackholes).
-    verify_on_deploy: bool,
     /// All server metrics live here; [`ServerStats`] is a view of it.
     obs: MetricsRegistry,
     /// Bounded ring of traced frame events (Fig. 4 hops).
@@ -575,25 +549,12 @@ impl RouteServer {
             compress_scratch: Vec::new(),
             generator: Generator::new(),
             enforce_reservations: true,
-            verify_on_deploy: false,
         }
     }
 
     /// Relax or enforce the reservation check at deploy time.
     pub fn set_enforce_reservations(&mut self, on: bool) {
         self.enforce_reservations = on;
-    }
-
-    /// Opt in to (or out of) data-plane verification at deploy time:
-    /// RNL05xx errors (forwarding loops, blackholes) reject the deploy
-    /// the same way lint errors do, with the same `force` override.
-    pub fn set_verify_on_deploy(&mut self, on: bool) {
-        self.verify_on_deploy = on;
-    }
-
-    /// Whether the verify-on-deploy gate is on.
-    pub fn verify_on_deploy(&self) -> bool {
-        self.verify_on_deploy
     }
 
     /// Compress relayed frames on the server→RIS leg (§4's bandwidth
@@ -656,11 +617,6 @@ impl RouteServer {
     /// The active overload policy.
     pub fn overload_config(&self) -> OverloadConfig {
         self.shedder.config()
-    }
-
-    /// Current global admission-bucket level in whole tokens.
-    pub fn overload_tokens(&self) -> u64 {
-        self.shedder.tokens()
     }
 
     /// Admit one op of `tier` on behalf of `principal`, or shed it with
@@ -1086,11 +1042,6 @@ impl RouteServer {
         &self.calendar
     }
 
-    /// Mutable calendar access (reservation management).
-    pub fn calendar_mut(&mut self) -> &mut Calendar {
-        &mut self.calendar
-    }
-
     /// The design store.
     pub fn designs(&self) -> &DesignStore {
         &self.designs
@@ -1327,7 +1278,7 @@ impl RouteServer {
     }
 
     // -----------------------------------------------------------------
-    // Federation hooks: cross-shard wires, trunk outbox, rebalance
+    // Federation hooks: cross-shard wires, trunk outbox, id ranges
     // -----------------------------------------------------------------
 
     /// Install a cross-shard half-wire: frames arriving on the local
@@ -1375,45 +1326,6 @@ impl RouteServer {
     /// counter); re-applied after recovery.
     pub fn set_router_id_base(&mut self, base: u32) {
         self.inventory.set_next_id(base);
-    }
-
-    /// Server-side eviction for shard rebalance: drop the live session
-    /// fronting `pc_name` into its flap-grace window (its transport is
-    /// hard-closed, so the RIS supervisor redials — now landing on the
-    /// shard that took ownership). Returns whether a live session was
-    /// found.
-    pub fn evict_principal(&mut self, pc_name: &str, now: Instant) -> bool {
-        let sid = self
-            .sessions
-            .iter()
-            .find(|(_, s)| s.graced_at.is_none() && s.pc_name.as_deref() == Some(pc_name))
-            .map(|(id, _)| *id);
-        let Some(sid) = sid else {
-            return false;
-        };
-        if let Some(session) = self.sessions.get_mut(&sid) {
-            session.transport = Box::new(ClosedTransport);
-        }
-        self.enter_grace(sid, now);
-        true
-    }
-
-    /// The `pc_name`s of live (non-graced) sessions — what a rebalance
-    /// re-homes.
-    pub fn live_principals(&self) -> Vec<String> {
-        self.sessions
-            .values()
-            .filter(|s| s.alive && s.graced_at.is_none())
-            .filter_map(|s| s.pc_name.clone())
-            .collect()
-    }
-
-    /// Whether a live registered session fronts `pc_name` (rebalance
-    /// completion probe).
-    pub fn has_live_principal(&self, pc_name: &str) -> bool {
-        self.sessions
-            .values()
-            .any(|s| s.alive && s.graced_at.is_none() && s.pc_name.as_deref() == Some(pc_name))
     }
 
     /// Mark a session disconnected and start its grace window. Frames
@@ -1937,17 +1849,6 @@ impl RouteServer {
                 .counter("rnl_server_lint_deploys_rejected_total", &[])
                 .inc();
             return Err(ServerError::Lint(report.render()));
-        }
-        // Opt-in data-plane verification: loops and blackholes reject
-        // the deploy like lint errors, with the same force override.
-        if self.verify_on_deploy {
-            let outcome = self.verify_design(design);
-            if outcome.report.has_errors() && !force {
-                self.obs
-                    .counter("rnl_server_verify_deploys_rejected_total", &[])
-                    .inc();
-                return Err(ServerError::Verify(outcome.report.render()));
-            }
         }
         let routers: Vec<RouterId> = design.devices().collect();
         for &router in &routers {

@@ -26,6 +26,7 @@
 use std::collections::BTreeMap;
 
 use rnl_net::time::{Duration, Instant};
+use rnl_obs::{mix64, GOLDEN_GAMMA};
 
 /// Default global bucket: 50k op-tokens, refilled at 50k/s. Generous
 /// enough that ordinary labs never shed; a storm has to outrun the
@@ -338,17 +339,14 @@ impl OpStorm {
     /// A storm stream derived from `seed`.
     pub fn new(seed: u64) -> OpStorm {
         OpStorm {
-            state: seed.wrapping_add(0x9e37_79b9_7f4a_7c15),
+            state: seed.wrapping_add(GOLDEN_GAMMA),
         }
     }
 
     /// Next raw 64-bit draw (splitmix64).
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        mix64(self.state)
     }
 
     /// Uniform draw in `0..n` (n must be nonzero; returns 0 otherwise).

@@ -24,19 +24,17 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use rnl_net::time::{Duration, Instant};
-use rnl_obs::metrics::{Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
+use rnl_obs::metrics::{Counter, Gauge, MetricsRegistry, Snapshot};
 use rnl_tunnel::faults::{ShardFaultKind, ShardFaultPlan};
 use rnl_tunnel::msg::{Msg, PortId, RegisterInfo, RouterId, SessionEpoch};
 use rnl_tunnel::ring::HashRing;
-use rnl_tunnel::transport::{
-    mem_pair_perfect, FrameBatch, MemTransport, OverflowPolicy, Transport,
-};
+use rnl_tunnel::transport::{mem_pair_perfect, FrameBatch, MemTransport, Transport};
 use rnl_tunnel::wait::PollFd;
 
 use crate::design::Design;
 use crate::journal::{Durability, FileJournal, MemJournal, SharedStore};
 use crate::json::Json;
-use crate::{DeploymentId, RouteServer, ServerError, ServerStats, SessionId};
+use crate::{DeploymentId, RouteServer, ServerError, SessionId};
 
 /// Router-id range owned by each shard: shard `k` allocates global ids
 /// in `[k * SHARD_ID_STRIDE, (k + 1) * SHARD_ID_STRIDE)`, so the owning
@@ -64,8 +62,8 @@ const TRUNK_BACKOFF_BASE: Duration = Duration::from_millis(100);
 const TRUNK_BACKOFF_MAX: Duration = Duration::from_secs(10);
 const TRUNK_JITTER_PCT: u64 = 20;
 
-/// Default per-poll byte budget of a trunk before its overflow policy
-/// kicks in (the bounded backlog).
+/// Per-poll byte budget of a trunk (the bounded backlog); a frame that
+/// would exceed it is dropped, newest first, and counted.
 pub const DEFAULT_TRUNK_HWM: usize = 1 << 20;
 
 /// Retry hint handed out when the owner shard is known but down and no
@@ -130,10 +128,8 @@ struct Trunk {
     /// Next redial attempt; `None` while the trunk is up.
     next_attempt: Option<Instant>,
     jitter_seed: u64,
-    /// Bytes sent this poll cycle, checked against `hwm`.
+    /// Bytes sent this poll cycle, checked against [`DEFAULT_TRUNK_HWM`].
     sent_this_poll: usize,
-    hwm: usize,
-    policy: OverflowPolicy,
     m_frames: Counter,
     m_reconnects: Counter,
     m_backlog_dropped: Counter,
@@ -158,8 +154,6 @@ impl Trunk {
             next_attempt: Some(Instant::EPOCH),
             jitter_seed: token,
             sent_this_poll: 0,
-            hwm: DEFAULT_TRUNK_HWM,
-            policy: OverflowPolicy::DropNewest,
             m_frames: obs.counter("rnl_server_shard_trunk_frames_total", labels),
             m_reconnects: obs.counter("rnl_server_shard_trunk_reconnects_total", labels),
             m_backlog_dropped: obs.counter("rnl_server_shard_trunk_backlog_dropped_total", labels),
@@ -244,11 +238,8 @@ impl Trunk {
         if self.link.is_none() {
             return false;
         }
-        if self.sent_this_poll.saturating_add(body.len()) > self.hwm {
+        if self.sent_this_poll.saturating_add(body.len()) > DEFAULT_TRUNK_HWM {
             self.m_backlog_dropped.inc();
-            if matches!(self.policy, OverflowPolicy::Disconnect) {
-                self.sever(now);
-            }
             return false;
         }
         let mut failed = false;
@@ -347,17 +338,13 @@ fn fed_deployment_from_json(v: &Json) -> Option<FedDeployment> {
     Some(FedDeployment { parts, cross })
 }
 
-/// An in-flight session move after a membership change: `pc_name` was
-/// evicted and should re-register on `owner`.
-struct RebalanceTicket {
-    pc_name: String,
-    owner: usize,
-    since: Instant,
-}
-
 /// A fault-contained route-server federation: `N` hash-partitioned
 /// shards, supervised inter-shard trunks, per-shard journals, and a
 /// seeded fault plan for kill/partition experiments.
+///
+/// Membership is fixed at construction: `routeserver --shards N` runs
+/// exactly `N` shards for the life of the process. A killed shard keeps
+/// its slot, its ring arcs and its id range, and comes back in place.
 pub struct Federation {
     slots: Vec<ShardSlot>,
     ring: HashRing,
@@ -368,15 +355,10 @@ pub struct Federation {
     durability: DurabilityMode,
     grace_window: Option<Duration>,
     enforce_reservations: bool,
-    trunk_hwm: usize,
-    trunk_policy: OverflowPolicy,
     next_fed_id: u64,
     fed_deployments: BTreeMap<u64, FedDeployment>,
-    pending_rebalance: Vec<RebalanceTicket>,
     batch: FrameBatch,
     m_containment_sheds: Counter,
-    m_rebalances: Counter,
-    m_rebalance_us: Histogram,
 }
 
 impl Federation {
@@ -396,19 +378,10 @@ impl Federation {
             durability: DurabilityMode::None,
             grace_window: None,
             enforce_reservations: false,
-            trunk_hwm: DEFAULT_TRUNK_HWM,
-            trunk_policy: OverflowPolicy::DropNewest,
             next_fed_id: 1,
             fed_deployments: BTreeMap::new(),
-            pending_rebalance: Vec::new(),
             batch: FrameBatch::new(),
             m_containment_sheds: obs.counter("rnl_server_shard_containment_sheds_total", &[]),
-            m_rebalances: obs.counter("rnl_server_shard_rebalances_total", &[]),
-            m_rebalance_us: obs.histogram(
-                "rnl_server_shard_rebalance_duration_us",
-                &[],
-                &[1_000, 10_000, 100_000, 1_000_000, 10_000_000],
-            ),
             obs,
         };
         for k in 0..n {
@@ -573,7 +546,8 @@ impl Federation {
         }
     }
 
-    /// Flap-grace window applied to every shard (present and future).
+    /// Flap-grace window applied to every shard, and re-applied when a
+    /// killed shard recovers.
     pub fn set_grace_window(&mut self, window: Duration) {
         self.grace_window = Some(window);
         for slot in &mut self.slots {
@@ -595,19 +569,6 @@ impl Federation {
         }
     }
 
-    /// Bounded trunk backlog: per-poll byte budget and what to do when
-    /// it overflows ([`OverflowPolicy::DropNewest`] sheds the frame,
-    /// [`OverflowPolicy::Disconnect`] severs the trunk and lets the
-    /// supervisor redial).
-    pub fn set_trunk_backlog(&mut self, bytes: usize, policy: OverflowPolicy) {
-        self.trunk_hwm = bytes;
-        self.trunk_policy = policy;
-        for trunk in self.trunks.values_mut() {
-            trunk.hwm = bytes;
-            trunk.policy = policy;
-        }
-    }
-
     /// Install a seeded shard-fault schedule; events fire inside
     /// [`Federation::poll`] when the virtual clock passes them.
     pub fn set_fault_plan(&mut self, plan: ShardFaultPlan) {
@@ -617,7 +578,7 @@ impl Federation {
     // -- introspection ------------------------------------------------
 
     /// Federation-level metrics (per-shard liveness, trunk health,
-    /// containment sheds, rebalance durations).
+    /// containment sheds).
     pub fn obs(&self) -> &MetricsRegistry {
         &self.obs
     }
@@ -646,7 +607,7 @@ impl Federation {
         merged
     }
 
-    /// Number of shard slots (including down and drained ones).
+    /// Number of shard slots (including down ones).
     pub fn len(&self) -> usize {
         self.slots.len()
     }
@@ -656,13 +617,8 @@ impl Federation {
         self.slots.is_empty()
     }
 
-    /// The membership ring (share with [`rnl_ris`]'s `DialMap` so both
-    /// sides agree on ownership).
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
-    /// The shard owning `principal` under the current membership.
+    /// The shard owning `principal` (a RIS `pc_name`, or a design or
+    /// user name on the web surface).
     pub fn shard_of_principal(&self, principal: &str) -> Option<usize> {
         self.ring.shard_of(principal)
     }
@@ -697,25 +653,10 @@ impl Federation {
         }
     }
 
-    /// Aggregate relay counters across live shards.
-    pub fn total_stats(&self) -> ServerStats {
-        let mut total = ServerStats::default();
-        for slot in &self.slots {
-            if let Some(server) = slot.server.as_ref() {
-                let s = server.stats();
-                total.frames_routed += s.frames_routed;
-                total.frames_unrouted += s.frames_unrouted;
-                total.bytes_relayed += s.bytes_relayed;
-                total.frames_injected += s.frames_injected;
-            }
-        }
-        total
-    }
-
     // -- session attachment -------------------------------------------
 
     /// Attach a dialed transport to `shard` (the caller routed the dial
-    /// via the ring / dial-map). Fails with a retryable
+    /// via [`Federation::shard_of_principal`]). Fails with a retryable
     /// [`ServerError::ShardDown`] while the shard is down.
     pub fn attach_to(
         &mut self,
@@ -829,106 +770,6 @@ impl Federation {
         Ok(())
     }
 
-    // -- membership ---------------------------------------------------
-
-    /// Grow the federation by one shard. Principals whose ring arc
-    /// moved to the joiner are evicted into their grace window on the
-    /// old owner; their supervisors redial the new owner, and the
-    /// completed move is observed as a rebalance duration.
-    pub fn add_shard(&mut self, now: Instant) -> Result<usize, ServerError> {
-        let k = self.slots.len();
-        let mut slot = self.make_slot(k);
-        match &self.durability {
-            DurabilityMode::Mem => {
-                let journal = MemJournal::new();
-                slot.store = Some(journal.store());
-                if let Some(server) = slot.server.as_mut() {
-                    server.set_durability(Box::new(journal), now)?;
-                }
-            }
-            DurabilityMode::File(base) => {
-                let dir = base.join(format!("shard-{k}"));
-                let journal = FileJournal::open(&dir)?;
-                slot.state_dir = Some(dir);
-                if let Some(server) = slot.server.as_mut() {
-                    server.set_durability(Box::new(journal), now)?;
-                }
-            }
-            DurabilityMode::None => {}
-        }
-        self.slots.push(slot);
-        self.ring.add_shard(k);
-        for other in 0..k {
-            self.seed = lcg(self.seed);
-            let trunk = Trunk::new(other, k, self.seed, &self.obs);
-            let mut trunk = trunk;
-            trunk.hwm = self.trunk_hwm;
-            trunk.policy = self.trunk_policy;
-            trunk.next_attempt = Some(now);
-            self.trunks.insert((other, k), trunk);
-        }
-        self.rebalance(now);
-        Ok(k)
-    }
-
-    /// Drain a shard out of the membership: it stops owning principals
-    /// (its sessions are evicted toward their new owners via the same
-    /// grace path a join uses) but keeps serving its slot so in-flight
-    /// deployments spanning it stay reachable.
-    pub fn remove_shard(&mut self, shard: usize, now: Instant) {
-        self.ring.remove_shard(shard);
-        self.rebalance(now);
-    }
-
-    /// Evict every live principal that is no longer on its owning
-    /// shard; each eviction opens a rebalance ticket that completes
-    /// when the principal re-registers on the new owner.
-    fn rebalance(&mut self, now: Instant) {
-        for s in 0..self.slots.len() {
-            let moves: Vec<(String, usize)> = {
-                let Some(server) = self.slots[s].server.as_ref() else {
-                    continue;
-                };
-                server
-                    .live_principals()
-                    .into_iter()
-                    .filter_map(|pc| {
-                        let owner = self.ring.shard_of(&pc)?;
-                        (owner != s).then_some((pc, owner))
-                    })
-                    .collect()
-            };
-            for (pc, owner) in moves {
-                if let Some(server) = self.slots[s].server.as_mut() {
-                    server.evict_principal(&pc, now);
-                }
-                self.m_rebalances.inc();
-                self.pending_rebalance.push(RebalanceTicket {
-                    pc_name: pc,
-                    owner,
-                    since: now,
-                });
-            }
-        }
-    }
-
-    fn complete_rebalances(&mut self, now: Instant) {
-        let pending = std::mem::take(&mut self.pending_rebalance);
-        for ticket in pending {
-            let adopted = self
-                .slots
-                .get(ticket.owner)
-                .and_then(|s| s.server.as_ref())
-                .is_some_and(|server| server.has_live_principal(&ticket.pc_name));
-            if adopted {
-                self.m_rebalance_us
-                    .observe(now.since(ticket.since).as_micros());
-            } else {
-                self.pending_rebalance.push(ticket);
-            }
-        }
-    }
-
     // -- the poll loop ------------------------------------------------
 
     /// [`RouteServer::wait_fds`] over every live shard. Trunks are
@@ -946,7 +787,7 @@ impl Federation {
     /// whose down-window passed, supervise trunks (redial with jittered
     /// backoff), poll every live shard, pump cross-shard frames over
     /// the trunks (shedding — counted — what a down trunk cannot
-    /// carry), and settle rebalance tickets.
+    /// carry).
     pub fn poll(&mut self, now: Instant) {
         for event in self.faults.take_due(now) {
             match event.kind {
@@ -981,7 +822,6 @@ impl Federation {
         }
         self.pump_out(now);
         self.pump_in(now);
-        self.complete_rebalances(now);
         for slot in &self.slots {
             if let Some(server) = slot.server.as_ref() {
                 slot.m_frames.set(server.stats().frames_routed as f64);
@@ -1457,32 +1297,6 @@ mod tests {
         let cross = fed.fed_deployment(fed_id).unwrap().cross.clone();
         let (from, to) = cross[0];
         assert_eq!(fed.server(1).unwrap().remote_route(to), Some(from));
-    }
-
-    #[test]
-    fn join_rebalances_sessions_through_the_grace_path() {
-        let mut fed = Federation::new(2, 0xfed5);
-        fed.set_grace_window(Duration::from_secs(60));
-        // Attach a handful of principals to their owning shards.
-        let mut owners = Vec::new();
-        for i in 0..6 {
-            let pc = format!("pc-{i}");
-            let owner = fed.shard_of_principal(&pc).unwrap();
-            let (_ris_side, server_side) = mem_pair_perfect(100 + i);
-            fed.attach_to(owner, Box::new(server_side)).unwrap();
-            // Register by name so live_principals sees it.
-            let server = fed.server_mut(owner).unwrap();
-            server.poll(t(0));
-            owners.push((pc, owner));
-        }
-        let k = fed.add_shard(t(10)).unwrap();
-        assert_eq!(k, 2);
-        assert_eq!(fed.ring().members(), &[0, 1, 2]);
-        // Ownership is total and the new member owns some arc.
-        let moved = (0..200)
-            .filter(|i| fed.shard_of_principal(&format!("key-{i}")) == Some(2))
-            .count();
-        assert!(moved > 0, "joiner owns nothing");
     }
 
     #[test]

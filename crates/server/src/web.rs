@@ -129,7 +129,8 @@ pub enum Response {
     /// A structured failure: `code` is a stable machine-readable
     /// identifier (see [`ServerError::code`]; parse failures use
     /// `"bad-request"`), `message` is human-readable, and
-    /// `retry_after_us` is set only for retryable overload sheds.
+    /// `retry_after_us` is set only for the retryable `overloaded` and
+    /// `shard-down` errors.
     Error {
         code: String,
         message: String,
@@ -284,14 +285,12 @@ impl Response {
 }
 
 fn error_response(e: &ServerError) -> Response {
-    // `wrong-shard` and `shard-down` are retryable exactly like
-    // `overloaded`: the hint tells the caller when (and, for
-    // wrong-shard, implicitly where — the message names the owner) to
-    // come back.
+    // `shard-down` is retryable exactly like `overloaded`: the hint
+    // tells the caller when to come back.
     let retry_after_us = match e {
-        ServerError::Overloaded { retry_after }
-        | ServerError::WrongShard { retry_after, .. }
-        | ServerError::ShardDown { retry_after, .. } => Some(retry_after.as_micros()),
+        ServerError::Overloaded { retry_after } | ServerError::ShardDown { retry_after, .. } => {
+            Some(retry_after.as_micros())
+        }
         _ => None,
     };
     Response::Error {
@@ -1152,37 +1151,6 @@ pub fn handle_sharded(fed: &mut Federation, request: Request, now: Instant) -> R
     }
 }
 
-/// Handle `request` as if the client dialed shard `at` directly
-/// (bypassing the front tier — a stale dial-map does exactly this
-/// after a membership change). Ops owned elsewhere come back as a
-/// structured retryable `wrong-shard` error naming the owner, so the
-/// client re-aims without a directory round-trip.
-pub fn handle_at(fed: &mut Federation, at: usize, request: Request, now: Instant) -> Response {
-    match shard_key(&request) {
-        // Any front door can serve these.
-        ShardKey::Federation | ShardKey::Broadcast => handle_sharded(fed, request, now),
-        key => {
-            let owner = match resolve(fed, &key) {
-                Ok(owner) => owner,
-                Err(e) => return error_response(&e),
-            };
-            if owner != at {
-                return error_response(&ServerError::WrongShard {
-                    owner,
-                    retry_after: fed.retry_hint(owner),
-                });
-            }
-            if let Request::AddDevice { design, router } = &request {
-                return add_device_sharded(fed, owner, design, *router);
-            }
-            match fed.server_mut(owner) {
-                Ok(server) => handle(server, request, now),
-                Err(e) => error_response(&e),
-            }
-        }
-    }
-}
-
 fn handle_federated(fed: &mut Federation, request: Request, now: Instant) -> Response {
     match request {
         Request::Deploy {
@@ -1507,6 +1475,40 @@ mod tests {
             Some(100.0),
             "{reply}"
         );
+    }
+
+    #[test]
+    fn analysis_encoders_escape_and_count() {
+        use rnl_analysis::{Diagnostic, PairOutcome, Report, Severity, VerifyOutcome};
+        let report = Report {
+            design: "a\"b".into(),
+            diagnostics: vec![Diagnostic::new("RNL0302", Severity::Error, "line1\nline2")],
+        };
+        let json = report_to_json(&report).encode();
+        assert!(json.contains(r#""design":"a\"b""#), "{json}");
+        assert!(json.contains(r#"line1\nline2"#), "{json}");
+        assert!(json.contains(r#""errors":1"#), "{json}");
+        assert!(json.contains(r#""span":"design""#), "{json}");
+        let outcome = VerifyOutcome {
+            report,
+            pairs: vec![PairOutcome {
+                src: RouterId(1),
+                src_subnet: "10.1.0.0/16".parse().unwrap(),
+                dst: RouterId(2),
+                dst_subnet: "10.2.0.0/16".parse().unwrap(),
+                src_hosts: Vec::new(),
+                dst_hosts: Vec::new(),
+                delivered: true,
+                path: vec![RouterId(1), RouterId(2)],
+                detail: "via \"r1\"".into(),
+            }],
+            ..VerifyOutcome::default()
+        };
+        let json = verify_to_json(&outcome).encode();
+        assert!(json.contains(r#""percent":100"#), "{json}");
+        assert!(json.contains(r#""delivered":true"#), "{json}");
+        assert!(json.contains(r#""detail":"via \"r1\"""#), "{json}");
+        assert!(json.contains(r#""summary":"100%"#), "{json}");
     }
 
     #[test]

@@ -101,11 +101,8 @@ impl Default for ProbeConfig {
     }
 }
 
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+fn splitmix64(z: u64) -> u64 {
+    rnl_obs::mix64(z.wrapping_add(rnl_obs::GOLDEN_GAMMA))
 }
 
 /// Cached metric handles for one path, labelled by wire id. Handles are

@@ -4,98 +4,51 @@
 //! different users do not overlap, so we can have one route server per
 //! user" — generalizes to N shards: every session and wire is owned by
 //! the shard its *principal* (the RIS `pc_name`, or a design/user name
-//! on the web surface) hashes to. A consistent ring keeps that mapping
-//! stable under shard join/leave: only the keys on moved vnode arcs
-//! change owner, so a rebalance graces a small fraction of sessions
-//! instead of reshuffling everything.
+//! on the web surface) hashes to. Membership is fixed when the ring is
+//! built; placement is a pure function of `(n, principal)`.
 //!
 //! Everything here is deterministic and dependency-free: FNV-1a over
 //! `shard-<k>/vnode-<v>` and the principal bytes, no RandomState, no
-//! wall clock — the same ring on the front tier, the RIS dial-map and
-//! the federation always agrees on ownership.
+//! wall clock — the same ring on the front tier and the federation
+//! always agrees on ownership.
 
-/// FNV-1a 64-bit — the same dependency-free hash the journal uses for
-/// checksums; stable across processes and platforms.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+use rnl_obs::{fnv1a64, mix64};
 
-/// SplitMix64 finalizer. FNV-1a alone leaves the *high* bits of short,
-/// shared-prefix keys ("pc-1", "pc-2"…) strongly correlated — the last
-/// byte's entropy only passes through one multiply — which would pile
-/// whole key families onto one arc. The ring therefore positions both
-/// vnodes and principals at `mix64(fnv1a64(...))`, whose bits avalanche.
-fn mix64(mut z: u64) -> u64 {
-    z ^= z >> 30;
-    z = z.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z ^= z >> 27;
-    z = z.wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A key's position on the ring.
+/// A key's position on the ring. FNV-1a alone leaves the *high* bits of
+/// short, shared-prefix keys ("pc-1", "pc-2"…) strongly correlated —
+/// the last byte's entropy only passes through one multiply — which
+/// would pile whole key families onto one arc. The SplitMix64
+/// finalizer on top makes the bits avalanche.
 fn ring_point(bytes: &[u8]) -> u64 {
     mix64(fnv1a64(bytes))
 }
 
 /// Virtual nodes per shard. Enough that a 4-shard ring splits keys
-/// within a few percent of even; small enough that rebuilding the ring
-/// on join/leave is trivial.
+/// within a few percent of even.
 pub const VNODES_PER_SHARD: usize = 64;
 
-/// A consistent-hash ring mapping principals to shard indices.
-///
-/// Shards are identified by their index at construction; removing a
-/// shard keeps the other indices stable (the ring tracks membership,
-/// not a dense range), so "shard 2 left" does not renumber shard 3.
+/// A consistent-hash ring mapping principals to shard indices `0..n`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashRing {
     /// `(vnode_hash, shard)` sorted by hash — the ring, flattened.
     vnodes: Vec<(u64, usize)>,
-    /// Member shard indices, sorted.
-    members: Vec<usize>,
 }
 
 impl HashRing {
     /// A ring over shards `0..n`. `n = 0` yields an empty ring on which
     /// [`HashRing::shard_of`] returns `None`.
     pub fn new(n: usize) -> HashRing {
-        let mut ring = HashRing {
-            vnodes: Vec::new(),
-            members: Vec::new(),
-        };
+        let mut vnodes = Vec::with_capacity(n * VNODES_PER_SHARD);
         for shard in 0..n {
-            ring.add_shard(shard);
-        }
-        ring
-    }
-
-    /// Add a shard to the ring. Adding an existing member is a no-op.
-    pub fn add_shard(&mut self, shard: usize) {
-        if self.members.contains(&shard) {
-            return;
-        }
-        self.members.push(shard);
-        self.members.sort_unstable();
-        for v in 0..VNODES_PER_SHARD {
-            let key = format!("shard-{shard}/vnode-{v}");
-            self.vnodes.push((ring_point(key.as_bytes()), shard));
+            for v in 0..VNODES_PER_SHARD {
+                let key = format!("shard-{shard}/vnode-{v}");
+                vnodes.push((ring_point(key.as_bytes()), shard));
+            }
         }
         // Sort by hash; break the (astronomically unlikely) hash tie by
         // shard index so the ring is a pure function of membership.
-        self.vnodes.sort_unstable();
-    }
-
-    /// Remove a shard from the ring. Its arcs fall to the next vnode
-    /// clockwise; all other ownership is untouched.
-    pub fn remove_shard(&mut self, shard: usize) {
-        self.members.retain(|&s| s != shard);
-        self.vnodes.retain(|&(_, s)| s != shard);
+        vnodes.sort_unstable();
+        HashRing { vnodes }
     }
 
     /// The shard owning `principal`, or `None` on an empty ring.
@@ -109,21 +62,6 @@ impl HashRing {
             Ok(i) | Err(i) => i % self.vnodes.len(),
         };
         self.vnodes.get(idx).map(|&(_, shard)| shard)
-    }
-
-    /// Member shard indices, sorted ascending.
-    pub fn members(&self) -> &[usize] {
-        &self.members
-    }
-
-    /// Number of member shards.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the ring has no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
     }
 }
 
@@ -161,49 +99,29 @@ mod tests {
     }
 
     #[test]
-    fn join_and_leave_move_only_the_affected_arcs() {
-        let before = HashRing::new(4);
-        let mut after = before.clone();
-        after.add_shard(4);
-        let mut moved = 0usize;
-        let total = 4000usize;
-        for i in 0..total {
-            let key = format!("pc-{i}");
-            let a = before.shard_of(&key);
-            let b = after.shard_of(&key);
-            if a != b {
-                // Every moved key must have moved TO the new shard.
-                assert_eq!(b, Some(4), "key moved between old shards");
-                moved += 1;
-            }
-        }
-        // Roughly 1/5 of keys move to the joiner; far fewer than half.
-        assert!(moved > 0 && moved < total / 2, "moved {moved}/{total}");
-
-        // Leave restores exactly the original ownership.
-        after.remove_shard(4);
-        for i in 0..total {
-            let key = format!("pc-{i}");
-            assert_eq!(before.shard_of(&key), after.shard_of(&key));
-        }
-    }
-
-    #[test]
-    fn removing_a_shard_keeps_other_indices_stable() {
-        let mut ring = HashRing::new(4);
-        ring.remove_shard(1);
-        assert_eq!(ring.members(), &[0, 2, 3]);
-        for i in 0..100 {
-            let key = format!("pc-{i}");
-            let s = ring.shard_of(&key);
-            assert!(s.is_some_and(|s| s != 1));
-        }
+    fn placement_is_pinned() {
+        // Owners of pc-0..pc-15 and of the design "span": E23 and the
+        // shard_scaling bench pick their principals by these, so any
+        // change here is a placement change, not a refactor.
+        let owners = |n: usize| -> Vec<usize> {
+            let ring = HashRing::new(n);
+            (0..16)
+                .map(|i| ring.shard_of(&format!("pc-{i}")).unwrap_or(usize::MAX))
+                .chain(ring.shard_of("span"))
+                .collect()
+        };
+        assert_eq!(
+            owners(2),
+            [0, 0, 0, 1, 0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 0]
+        );
+        assert_eq!(
+            owners(4),
+            [0, 2, 0, 1, 0, 2, 1, 1, 3, 2, 2, 3, 0, 0, 0, 0, 3]
+        );
     }
 
     #[test]
     fn empty_ring_owns_nothing() {
-        let ring = HashRing::new(0);
-        assert!(ring.is_empty());
-        assert_eq!(ring.shard_of("anyone"), None);
+        assert_eq!(HashRing::new(0).shard_of("anyone"), None);
     }
 }

@@ -253,7 +253,7 @@ fn front_tier_routing_table() {
         assert_eq!(web::shard_key(&request), expected, "{request:?}");
     }
     // Router keys resolve through the id-range, principals through the
-    // ring — and the two tiers agree with the client-side dial map.
+    // ring the sites' dialer uses too.
     assert_eq!(shard_of_router(router), 2);
     assert!(owner(&design) < 4);
 }

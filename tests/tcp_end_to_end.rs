@@ -225,3 +225,157 @@ fn two_tcp_sessions_two_isolated_labs() {
         t.join().expect("thread");
     }
 }
+
+/// The `routeserver --shards 2` loop, driven the way the binary drives
+/// it: two loopback TCP sessions attached to different shards, the
+/// whole lab built and deployed as JSON lines through the sharded front
+/// tier, a ping across the inter-shard trunk, then a kill of the
+/// design's home shard answered with a structured, retryable error.
+#[test]
+fn federation_over_real_tcp_loopback() {
+    use rnl::server::json::Json;
+    use rnl::server::shard::Federation;
+    use rnl::server::web::handle_json_sharded;
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let start = WallInstant::now();
+    let stop = Arc::new(AtomicBool::new(false));
+    let deployed = Arc::new(AtomicBool::new(false));
+    let (result_tx, result_rx) = std::sync::mpsc::channel::<String>();
+
+    let mut threads = Vec::new();
+    for site in 0..2u32 {
+        let stop = Arc::clone(&stop);
+        let deployed = Arc::clone(&deployed);
+        let result_tx = result_tx.clone();
+        threads.push(std::thread::spawn(move || {
+            let transport = TcpTransport::connect(addr).expect("dial");
+            let mut ris = Ris::new(&format!("fed-pc{site}"), Box::new(transport));
+            let mut host = Host::new("h", 90 + site);
+            host.set_ip(format!("10.9.0.{}/24", site + 1).parse().expect("valid"));
+            ris.add_device(Box::new(host), "fed host");
+            ris.join_labs(vnow(start)).expect("join");
+            let mut pinged = false;
+            while !stop.load(Ordering::Relaxed) {
+                let now = vnow(start);
+                ris.poll(now).expect("ris poll");
+                if site == 0 && !pinged && deployed.load(Ordering::Relaxed) {
+                    ris.device_mut(0)
+                        .expect("host")
+                        .console("ping 10.9.0.2 count 3", now);
+                    pinged = true;
+                }
+                park(|fds| ris.wait_fds(fds));
+            }
+            if site == 0 {
+                let now = vnow(start);
+                let out = ris.device_mut(0).expect("host").console("show ping", now);
+                result_tx.send(out).expect("report");
+            }
+        }));
+    }
+
+    // The binary's sharded loop: one federation, sessions placed
+    // round-robin, every API line through the front tier.
+    let mut fed = Federation::new(2, 0x5eed);
+    for shard in 0..2 {
+        let session = TcpTransport::accept(&listener).expect("accept");
+        fed.attach_to(shard, Box::new(session)).expect("attach");
+    }
+    let api = |fed: &mut Federation, line: &str| -> Json {
+        let reply = handle_json_sharded(fed, line, vnow(start));
+        Json::parse(&reply).expect("reply is JSON")
+    };
+    let turn = |fed: &mut Federation| {
+        fed.poll(vnow(start));
+        park(|fds| fed.wait_fds(fds));
+    };
+
+    let deadline = WallInstant::now() + std::time::Duration::from_secs(10);
+    let routers = loop {
+        assert!(WallInstant::now() < deadline, "registrations never arrived");
+        turn(&mut fed);
+        let reply = api(&mut fed, r#"{"op":"list_inventory"}"#);
+        let rows = reply.get("inventory").and_then(Json::as_arr).unwrap_or(&[]);
+        let ids: Vec<u64> = rows
+            .iter()
+            .filter_map(|r| r.get("router").and_then(Json::as_u64))
+            .collect();
+        if ids.len() == 2 {
+            break ids;
+        }
+    };
+    assert_eq!(
+        routers.iter().map(|&r| r / 4096).collect::<Vec<_>>(),
+        [0, 1],
+        "one router per shard's id range: {routers:?}"
+    );
+    let (a, b) = (routers[0], routers[1]);
+    for line in [
+        r#"{"op":"create_design","name":"span"}"#.to_string(),
+        format!(r#"{{"op":"add_device","design":"span","router":{a}}}"#),
+        format!(r#"{{"op":"add_device","design":"span","router":{b}}}"#),
+        format!(
+            r#"{{"op":"connect_ports","design":"span","a_router":{a},"a_port":0,"b_router":{b},"b_port":0}}"#
+        ),
+        r#"{"op":"deploy","user":"fed-user","design":"span"}"#.to_string(),
+    ] {
+        let reply = api(&mut fed, &line);
+        assert_eq!(
+            reply.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{line} -> {}",
+            reply.encode()
+        );
+    }
+    deployed.store(true, Ordering::Relaxed);
+
+    // ARP request/reply plus three echo pairs, all over the trunk.
+    let trunk_frames =
+        |fed: &Federation| fed.obs().counter_sum("rnl_server_shard_trunk_frames_total");
+    let deadline = WallInstant::now() + std::time::Duration::from_secs(10);
+    while trunk_frames(&fed) < 8 && WallInstant::now() < deadline {
+        turn(&mut fed);
+    }
+    let grace = WallInstant::now() + std::time::Duration::from_millis(300);
+    while WallInstant::now() < grace {
+        turn(&mut fed);
+    }
+    stop.store(true, Ordering::Relaxed);
+    let out = result_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("result");
+    for t in threads {
+        t.join().expect("ris thread");
+    }
+    assert!(
+        out.contains("3 sent, 3 received"),
+        "cross-shard ping over real TCP: {out}"
+    );
+    assert!(trunk_frames(&fed) >= 8);
+
+    // Kill the design's home shard: a design-keyed op is refused with
+    // a structured, retryable error instead of hanging or vanishing.
+    let home = fed.shard_of_principal("span").expect("home shard");
+    fed.kill_shard(
+        home,
+        Some(rnl::net::time::Duration::from_secs(5)),
+        vnow(start),
+    );
+    let reply = api(&mut fed, r#"{"op":"analyze_design","design":"span"}"#);
+    assert_eq!(
+        reply.get("code").and_then(Json::as_str),
+        Some("shard-down"),
+        "{}",
+        reply.encode()
+    );
+    assert!(
+        reply
+            .get("retry_after_us")
+            .and_then(Json::as_u64_str)
+            .is_some_and(|us| us > 0),
+        "{}",
+        reply.encode()
+    );
+}
