@@ -60,6 +60,15 @@ cargo test -q --offline -p rnl --test mesh
 # `cargo run -p rnl-bench --release --bin bench -- --out .`).
 cargo run -q --offline --release -p rnl-bench --bin bench -- --selftest
 cargo run -q --offline --release -p rnl-bench --bin bench -- --check --tolerance 5
+# `--check` tolerates 5 % drift; a refactor that claims "no behaviour
+# change" must reproduce every baseline byte for byte. Regenerate all
+# six into a scratch directory and compare.
+bench_dir=$(mktemp -d)
+trap 'rm -rf "$bench_dir"' EXIT
+cargo run -q --offline --release -p rnl-bench --bin bench -- --out "$bench_dir" >/dev/null
+for baseline in BENCH_*.json; do
+    cmp "$baseline" "$bench_dir/$baseline"
+done
 # Real-binary smoke: five seconds of 64 B frames through the release
 # `routeserver` over loopback TCP. Only the exit code gates — the
 # harness exits non-zero when a frame is corrupt, reordered, duplicated

@@ -34,6 +34,7 @@ const HOT_PATHS: &[&str] = &[
     "crates/ris/src/mesh.rs",
     "crates/server/src/mesh.rs",
     "crates/tunnel/src/mesh.rs",
+    "crates/tunnel/src/backoff.rs",
     "crates/tunnel/src/transport.rs",
     "crates/tunnel/src/wait.rs",
     "crates/tunnel/src/faults.rs",

@@ -38,8 +38,8 @@ use std::collections::HashMap;
 
 use rnl_device::device::Device;
 use rnl_net::time::{Duration, Instant};
-use rnl_obs::{merge_trace, EventJournal, FrameEvent, MetricsRegistry, SlowOp, TraceId};
-use rnl_ris::{BackoffConfig, Dialer, Ris, RisError, Supervisor};
+use rnl_obs::{lcg64, merge_trace, EventJournal, FrameEvent, MetricsRegistry, SlowOp, TraceId};
+use rnl_ris::{Dialer, Ris, RisError, Supervisor};
 use rnl_server::design::Design;
 use rnl_server::journal::{CrashPoint, MemJournal, SharedStore};
 use rnl_server::matrix::DeploymentId;
@@ -95,6 +95,22 @@ impl From<RisError> for LabError {
 /// virtual time per poll cycle.
 pub const DEFAULT_STEP: Duration = Duration::from_millis(10);
 
+/// The facades' one hint-wait rule: how long `api_with_retry` runs the
+/// clock before re-sending a request answered with a retryable error
+/// (`overloaded`, `shard-down`). The hint is capped at a second so a
+/// pathological configuration (refill rate zero) cannot wedge the
+/// clock, plus one step. `None` for every other response — success or
+/// hard failure — since retrying those would only add load.
+pub(crate) fn retry_wait(response: &Response) -> Option<Duration> {
+    match response {
+        Response::Error {
+            retry_after_us: Some(us),
+            ..
+        } => Some(Duration::from_micros((*us).min(1_000_000)) + DEFAULT_STEP),
+        _ => None,
+    }
+}
+
 /// One interface PC inside the facade: its RIS, the supervisor that
 /// keeps it joined across uplink outages, and the dialing profile the
 /// facade uses to build replacement tunnels.
@@ -137,7 +153,7 @@ impl Dialer for FacadeDialer<'_> {
         if self.server_down || self.link_down_until.is_some_and(|until| now < until) {
             return Err(TransportError::Closed);
         }
-        *self.seed = self.seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        *self.seed = lcg64(*self.seed);
         let (mut ris_side, mut server_side) =
             mem_pair(self.impairment, self.impairment, *self.seed);
         if !self.faults.is_empty() {
@@ -238,7 +254,7 @@ impl RemoteNetworkLabs {
         impairment: Impairment,
         faults: FaultPlan,
     ) -> SiteId {
-        self.seed = self.seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        self.seed = lcg64(self.seed);
         let (mut ris_side, mut server_side) = mem_pair(impairment, impairment, self.seed);
         if !faults.is_empty() {
             ris_side.set_faults(faults.clone());
@@ -252,13 +268,8 @@ impl RemoteNetworkLabs {
         self.server.attach(Box::new(server_side));
         // The supervisor's reconnect counters live on the server
         // registry so one scrape shows every site's resilience story.
-        self.seed = self.seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let supervisor = Supervisor::new(
-            self.seed,
-            BackoffConfig::default(),
-            self.server.obs(),
-            &[("site", pc_name)],
-        );
+        self.seed = lcg64(self.seed);
+        let supervisor = Supervisor::new(self.seed, self.server.obs(), &[("site", pc_name)]);
         self.sites.push(Site {
             ris: Ris::new(pc_name, Box::new(ris_side)),
             supervisor,
@@ -383,7 +394,7 @@ impl RemoteNetworkLabs {
             match self.pending_mesh.remove(&wire) {
                 Some(j) if j != i => {
                     let obs = self.server.obs().clone();
-                    self.seed = self.seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    self.seed = lcg64(self.seed);
                     let pair_seed = self.seed;
                     let (lo, hi) = (j.min(i), j.max(i));
                     let (head, tail) = self.sites.split_at_mut(hi);
@@ -776,22 +787,12 @@ impl RemoteNetworkLabs {
 
     /// One typed web-services call with a client-side retry budget: an
     /// overload shed carrying a `retry_after` hint is retried after
-    /// waiting out the hint on the virtual clock, at most `budget`
-    /// times. Every other response — success or hard failure — returns
-    /// immediately; retrying those would only add load.
+    /// waiting out the hint on the virtual clock (capped at 1 s), at
+    /// most `budget` times. Every other response returns immediately.
     pub fn api_with_retry(&mut self, request: Request, budget: u32) -> Result<Response, LabError> {
         let mut last = self.api(request.clone());
         for _ in 0..budget {
-            let Response::Error {
-                retry_after_us: Some(us),
-                ..
-            } = &last
-            else {
-                return Ok(last);
-            };
-            // Honor the hint, capped at a second so a pathological
-            // configuration (refill rate zero) cannot wedge the clock.
-            let wait = Duration::from_micros((*us).min(1_000_000)) + DEFAULT_STEP;
+            let Some(wait) = retry_wait(&last) else { break };
             self.run(wait)?;
             last = self.api(request.clone());
         }

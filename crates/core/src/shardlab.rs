@@ -12,14 +12,15 @@
 
 use rnl_device::device::Device;
 use rnl_net::time::{Duration, Instant};
-use rnl_ris::{BackoffConfig, Dialer, Ris, RisError, Supervisor};
+use rnl_obs::lcg64;
+use rnl_ris::{Dialer, Ris, RisError, Supervisor};
 use rnl_server::shard::Federation;
 use rnl_server::web::{self, Request, Response};
 use rnl_tunnel::faults::ShardFaultPlan;
 use rnl_tunnel::msg::RouterId;
 use rnl_tunnel::transport::{mem_pair_perfect, ClosedTransport, Transport, TransportError};
 
-use crate::{LabError, SiteId, DEFAULT_STEP};
+use crate::{retry_wait, LabError, SiteId, DEFAULT_STEP};
 
 /// One site dialing into the federation.
 struct ShardSite {
@@ -43,7 +44,7 @@ impl Dialer for FedDialer<'_> {
             .fed
             .shard_of_principal(self.pc_name)
             .ok_or(TransportError::Closed)?;
-        *self.seed = self.seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        *self.seed = lcg64(*self.seed);
         let (ris_side, server_side) = mem_pair_perfect(*self.seed);
         match self.fed.attach_to(owner, Box::new(server_side)) {
             Ok(_) => Ok(Box::new(ris_side)),
@@ -117,13 +118,8 @@ impl ShardedLabs {
                 Err(_) => Box::new(ClosedTransport),
             }
         };
-        self.seed = self.seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let supervisor = Supervisor::new(
-            self.seed,
-            BackoffConfig::default(),
-            self.fed.obs(),
-            &[("site", pc_name)],
-        );
+        self.seed = lcg64(self.seed);
+        let supervisor = Supervisor::new(self.seed, self.fed.obs(), &[("site", pc_name)]);
         self.sites.push(ShardSite {
             ris: Ris::new(pc_name, first),
             supervisor,
@@ -230,20 +226,13 @@ impl ShardedLabs {
     }
 
     /// One typed call with a client-side retry budget: any structured
-    /// retryable error (`overloaded`, `shard-down`)
-    /// carrying a `retry_after_us` hint is retried after waiting the
-    /// hint out on the virtual clock, at most `budget` times.
+    /// retryable error (`overloaded`, `shard-down`) carrying a
+    /// `retry_after_us` hint is retried after waiting the hint out on
+    /// the virtual clock (capped at 1 s), at most `budget` times.
     pub fn api_with_retry(&mut self, request: Request, budget: u32) -> Result<Response, LabError> {
         let mut last = self.api(request.clone());
         for _ in 0..budget {
-            let Response::Error {
-                retry_after_us: Some(us),
-                ..
-            } = &last
-            else {
-                return Ok(last);
-            };
-            let wait = Duration::from_micros((*us).min(1_000_000)) + DEFAULT_STEP;
+            let Some(wait) = retry_wait(&last) else { break };
             self.run(wait)?;
             last = self.api(request.clone());
         }

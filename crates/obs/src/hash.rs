@@ -1,8 +1,8 @@
-//! The workspace's two deterministic hash primitives. Journal
-//! checksums, shard-ring placement, trace-id site bits, RIS session
-//! tokens, mesh secrets and seeded op storms are all built from these,
-//! so their outputs are part of on-disk and replay formats: never
-//! change them.
+//! The workspace's deterministic hash and seed-stepping primitives.
+//! Journal checksums, shard-ring placement, trace-id site bits, RIS
+//! session tokens, mesh secrets, seeded op storms, redial jitter and the
+//! facades' transport seeds are all built from these, so their outputs
+//! are part of on-disk and replay formats: never change them.
 
 /// FNV-1a 64-bit: dependency-free and stable across processes and
 /// platforms.
@@ -27,6 +27,13 @@ pub fn mix64(mut z: u64) -> u64 {
 /// The SplitMix64 stream increment (2^64 / φ).
 pub const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
+/// One step of Knuth's MMIX linear congruential generator. The facades
+/// and the shard federation step their seed chains with it; those seeds
+/// feed the in-memory transports' impairment RNGs.
+pub fn lcg64(x: u64) -> u64 {
+    x.wrapping_mul(6364136223846793005).wrapping_add(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,5 +55,15 @@ mod tests {
         assert_eq!(mix64(u64::MAX), 0xb4d0_55fc_f2cb_bd7b);
         // The first draw of a SplitMix64 stream seeded with 0.
         assert_eq!(mix64(GOLDEN_GAMMA), 0xe220_a839_7b1d_cdaf);
+    }
+
+    #[test]
+    fn lcg64_known_answers() {
+        assert_eq!(lcg64(0), 1);
+        assert_eq!(lcg64(1), 0x5851_f42d_4c95_7f2e);
+        // The facades' seed chains start here.
+        assert_eq!(lcg64(0x5eed), 0xdb87_b00e_cb19_42aa);
+        assert_eq!(lcg64(0x5eed_5eed), 0x8b96_7b28_0dc2_42aa);
+        assert_eq!(lcg64(u64::MAX), 0xa7ae_0bd2_b36a_80d4);
     }
 }

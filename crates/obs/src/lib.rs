@@ -31,7 +31,8 @@
 //!
 //! [`fnv1a64`] and [`mix64`] are the workspace's one copy of each
 //! deterministic hash (journal checksums, ring placement, trace-id site
-//! bits, session tokens, seeded streams all derive from them).
+//! bits, session tokens, seeded streams all derive from them), and
+//! [`lcg64`] the one seed-stepping generator.
 //!
 //! Exposition: [`render_prometheus`] renders a snapshot in the
 //! Prometheus text format; the JSON form lives in `rnl-server`'s web
@@ -54,7 +55,7 @@ pub mod profile;
 pub mod quantile;
 pub mod trace;
 
-pub use hash::{fnv1a64, mix64, GOLDEN_GAMMA};
+pub use hash::{fnv1a64, lcg64, mix64, GOLDEN_GAMMA};
 pub use journal::{merge_trace, EventJournal, FrameEvent, Hop, MissReason};
 pub use metrics::{
     counter_deltas, render_prometheus, Counter, Gauge, Histogram, HistogramSnapshot, MetricPoint,

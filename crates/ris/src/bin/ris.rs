@@ -24,7 +24,7 @@ use std::time::Instant as WallInstant;
 
 use rnl_net::time::Instant;
 use rnl_ris::config::RisConfig;
-use rnl_ris::{BackoffConfig, Ris, RisError, Supervisor, TcpDialer};
+use rnl_ris::{Ris, RisError, Supervisor, TcpDialer};
 use rnl_tunnel::transport::ClosedTransport;
 use rnl_tunnel::wait::wait;
 
@@ -88,7 +88,7 @@ fn main() {
     // Seed from the PC name so two RIS boxes do not thunder in lockstep;
     // determinism only matters under the virtual clock, not here.
     let seed = rnl_obs::fnv1a64(config.pc_name.as_bytes());
-    let mut supervisor = Supervisor::new(seed, BackoffConfig::default(), ris.obs(), &[]);
+    let mut supervisor = Supervisor::new(seed, ris.obs(), &[]);
     supervisor.set_retry_budget(retry_budget);
     eprintln!(
         "ris: {} supervising uplink to {} …",

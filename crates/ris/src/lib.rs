@@ -41,7 +41,7 @@ use rnl_tunnel::wait::PollFd;
 
 pub use mapping::auto_mapping;
 pub use mesh::{MeshAgent, MeshDial};
-pub use supervisor::{BackoffConfig, Dialer, Supervisor, TcpDialer};
+pub use supervisor::{Dialer, Supervisor, TcpDialer};
 
 /// Process-wide salt so two RIS instances with the same `pc_name` still
 /// get distinct session tokens (deterministic in creation order).

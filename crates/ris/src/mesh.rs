@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 use rnl_net::time::Instant;
 use rnl_obs::MetricsRegistry;
-use rnl_tunnel::mesh::{FailReason, MeshPath, PathState, ProbeConfig};
+use rnl_tunnel::mesh::{FailReason, MeshPath, PathState};
 use rnl_tunnel::msg::{MeshOffer, Msg, PortId, RouterId};
 use rnl_tunnel::transport::Transport;
 
@@ -98,15 +98,7 @@ impl MeshAgent {
         };
         self.paths.insert(
             wire,
-            MeshPath::new(
-                wire,
-                offer.secret,
-                peer,
-                ProbeConfig::default(),
-                seed,
-                obs,
-                now,
-            ),
+            MeshPath::new(wire, offer.secret, peer, seed, obs, now),
         );
     }
 

@@ -4,20 +4,21 @@
 //! TCP connection to the route server") but says nothing about *how* a
 //! PC behind a flaky consumer uplink maintains it. This module is that
 //! loop: a [`Supervisor`] watches a [`Ris`], and when the tunnel dies it
-//! redials through a [`Dialer`] with jittered exponential backoff on the
-//! virtual clock — seeded, so a given flap schedule produces the same
-//! attempt schedule every run. On success it drives [`Ris::reconnect`],
-//! which rotates the session epoch, re-registers, and heartbeats
-//! immediately, letting the server re-adopt a graced session.
+//! redials through a [`Dialer`] on the shared [`Backoff`] schedule
+//! (immediate first attempt, then 0.5 s doubling to 30 s, ±20 % jitter)
+//! on the virtual clock — seeded, so a given flap schedule produces the
+//! same attempt schedule every run. On success it drives
+//! [`Ris::reconnect`], which rotates the session epoch, re-registers,
+//! and heartbeats immediately, letting the server re-adopt a graced
+//! session.
 //!
 //! Everything observable is a metric: attempts, successes, failures, the
 //! backoff currently in force, and a histogram of outage durations
 //! (uplink death → successful rejoin).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rnl_net::time::{Duration, Instant};
 use rnl_obs::{Counter, Gauge, Histogram, MetricsRegistry, LATENCY_BUCKETS_US};
+use rnl_tunnel::backoff::Backoff;
 use rnl_tunnel::transport::{TcpTransport, Transport, TransportError};
 
 use crate::{Ris, RisError};
@@ -43,46 +44,20 @@ impl Dialer for TcpDialer {
     }
 }
 
-/// Jittered exponential backoff parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct BackoffConfig {
-    /// Delay after the first failed attempt.
-    pub base: Duration,
-    /// Ceiling on the un-jittered delay.
-    pub max: Duration,
-    /// Growth factor between consecutive failures.
-    pub multiplier: u64,
-    /// Symmetric jitter as a fraction of the delay (0.2 → ±20%). Kept
-    /// within `[0, 1]`; values outside are clamped.
-    pub jitter: f64,
-}
+/// Redial delay after the first failed dial of an outage; it doubles
+/// per failure up to [`BACKOFF_CAP`], each wait jittered ±20 %.
+const BACKOFF_BASE: Duration = Duration::from_millis(500);
+/// Ceiling on the un-jittered redial delay.
+const BACKOFF_CAP: Duration = Duration::from_secs(30);
 
-impl Default for BackoffConfig {
-    fn default() -> BackoffConfig {
-        BackoffConfig {
-            base: Duration::from_millis(500),
-            max: Duration::from_secs(30),
-            multiplier: 2,
-            jitter: 0.2,
-        }
-    }
-}
-
-/// Default keepalive interval while the tunnel is healthy.
+/// Keepalive interval while the tunnel is healthy.
 pub const DEFAULT_HEARTBEAT_EVERY: Duration = Duration::from_secs(10);
 
 /// Drives a RIS's reconnect loop on the virtual clock.
 pub struct Supervisor {
-    cfg: BackoffConfig,
-    rng: StdRng,
-    /// Un-jittered delay the *next* failure will schedule.
-    current_delay: Duration,
-    /// When the next dial attempt is due (None while healthy).
-    next_attempt: Option<Instant>,
+    backoff: Backoff,
     /// When the current outage began (None while healthy).
     outage_start: Option<Instant>,
-    /// Keepalive interval while healthy.
-    heartbeat_every: Duration,
     /// When the last heartbeat went out (None until the first healthy
     /// tick baselines the schedule).
     last_heartbeat: Option<Instant>,
@@ -101,22 +76,14 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    /// A supervisor with its own seeded RNG. Metrics are registered on
-    /// `registry` with `labels` (e.g. `[("site", pc_name)]`), so the
-    /// reconnect counters surface wherever that registry is exported.
-    pub fn new(
-        seed: u64,
-        cfg: BackoffConfig,
-        registry: &MetricsRegistry,
-        labels: &[(&str, &str)],
-    ) -> Supervisor {
+    /// A supervisor whose redial jitter is seeded with `seed`. Metrics
+    /// are registered on `registry` with `labels` (e.g.
+    /// `[("site", pc_name)]`), so the reconnect counters surface
+    /// wherever that registry is exported.
+    pub fn new(seed: u64, registry: &MetricsRegistry, labels: &[(&str, &str)]) -> Supervisor {
         Supervisor {
-            cfg,
-            rng: StdRng::seed_from_u64(seed),
-            current_delay: cfg.base,
-            next_attempt: None,
+            backoff: Backoff::new(BACKOFF_BASE, BACKOFF_CAP, seed),
             outage_start: None,
-            heartbeat_every: DEFAULT_HEARTBEAT_EVERY,
             last_heartbeat: None,
             retry_budget: None,
             failed_attempts: 0,
@@ -145,35 +112,9 @@ impl Supervisor {
         self.retry_budget.is_some_and(|b| self.failed_attempts >= b)
     }
 
-    /// Honor a server-side `Overloaded { retry_after }` hint: push the
-    /// next dial attempt out to at least `now + retry_after`, jittered
-    /// with this supervisor's seeded RNG so a fleet of deferred clients
-    /// does not thunder back in lockstep.
-    pub fn defer_retry(&mut self, retry_after: Duration, now: Instant) {
-        let delay = self.jittered(retry_after);
-        let due = now + delay;
-        let later = match self.next_attempt {
-            Some(cur) if cur.as_micros() >= due.as_micros() => cur,
-            _ => due,
-        };
-        self.next_attempt = Some(later);
-        self.m_backoff_ms.set(delay.as_micros() as f64 / 1_000.0);
-    }
-
-    /// Override the keepalive interval (default 10 s). Mostly for
-    /// tests, which run on a compressed virtual clock.
-    pub fn set_heartbeat_every(&mut self, every: Duration) {
-        self.heartbeat_every = every;
-    }
-
     /// Whether the supervisor currently believes the tunnel is down.
     pub fn in_outage(&self) -> bool {
         self.outage_start.is_some()
-    }
-
-    /// When the next dial attempt is due, while in outage.
-    pub fn next_attempt(&self) -> Option<Instant> {
-        self.next_attempt
     }
 
     /// One supervision step: poll the RIS while healthy (sending a
@@ -202,10 +143,7 @@ impl Supervisor {
         } else {
             self.note_outage(now);
         }
-        let Some(due) = self.next_attempt else {
-            return Ok(false);
-        };
-        if now < due {
+        if self.retry_budget_exhausted() || !self.backoff.due(now) {
             return Ok(false);
         }
         self.m_attempts.inc();
@@ -219,9 +157,8 @@ impl Supervisor {
                 if let Some(started) = self.outage_start.take() {
                     self.m_outage_us.observe(now.since(started).as_micros());
                 }
-                self.next_attempt = None;
+                self.backoff.succeed();
                 self.failed_attempts = 0;
-                self.current_delay = self.cfg.base;
                 self.m_backoff_ms.set(0.0);
                 // `Ris::reconnect` heartbeats as part of re-registering,
                 // so the keepalive schedule restarts from here.
@@ -235,19 +172,11 @@ impl Supervisor {
                     // Out of budget: stop dialing rather than add retry
                     // load to whatever is already wrong.
                     self.m_budget_exhausted.inc();
-                    self.next_attempt = None;
                     self.m_backoff_ms.set(0.0);
                     return Ok(false);
                 }
-                let delay = self.jittered(self.current_delay);
-                self.next_attempt = Some(now + delay);
-                self.m_backoff_ms.set(delay.as_micros() as f64 / 1_000.0);
-                let grown = self.current_delay.saturating_mul(self.cfg.multiplier);
-                self.current_delay = if grown.as_micros() > self.cfg.max.as_micros() {
-                    self.cfg.max
-                } else {
-                    grown
-                };
+                let wait = self.backoff.fail(now);
+                self.m_backoff_ms.set(wait.as_micros() as f64 / 1_000.0);
                 Ok(false)
             }
             Err(e) => Err(e),
@@ -260,7 +189,7 @@ impl Supervisor {
     /// is an outage the next tick's poll will notice — not an error.
     fn maybe_heartbeat(&mut self, ris: &mut Ris, now: Instant) {
         match self.last_heartbeat {
-            Some(last) if now.since(last) >= self.heartbeat_every => {
+            Some(last) if now.since(last) >= DEFAULT_HEARTBEAT_EVERY => {
                 self.last_heartbeat = Some(now);
                 let _ = ris.heartbeat(now);
             }
@@ -274,23 +203,9 @@ impl Supervisor {
     fn note_outage(&mut self, now: Instant) {
         if self.outage_start.is_none() {
             self.outage_start = Some(now);
-            self.current_delay = self.cfg.base;
-            self.next_attempt = Some(now);
+            self.backoff.restart(now);
             self.failed_attempts = 0;
         }
-    }
-
-    /// Apply symmetric jitter: `delay ± jitter·delay`, drawn from this
-    /// supervisor's seeded RNG.
-    fn jittered(&mut self, delay: Duration) -> Duration {
-        let us = delay.as_micros();
-        let frac = self.cfg.jitter.clamp(0.0, 1.0);
-        let half_span = (us as f64 * frac) as u64;
-        if half_span == 0 {
-            return delay;
-        }
-        let offset = self.rng.gen_range(0..=2 * half_span);
-        Duration::from_micros((us + offset).saturating_sub(half_span))
     }
 }
 
@@ -303,16 +218,37 @@ mod tests {
         Instant::EPOCH + Duration::from_millis(ms)
     }
 
+    /// Supervision tick period of the outage tests.
+    const TICK: Duration = Duration::from_millis(10);
+
     /// A dialer that fails until `up_at`, then hands out mem-pair ends
-    /// (keeping the server sides so the link stays alive).
+    /// (keeping the server sides so the link stays alive). Every dial
+    /// instant is recorded.
     struct FlakyDialer {
         up_at: Instant,
         seed: u64,
+        dials: Vec<Instant>,
         server_sides: Vec<MemTransport>,
+    }
+
+    impl FlakyDialer {
+        fn up_at(up_at: Instant) -> FlakyDialer {
+            FlakyDialer {
+                up_at,
+                seed: 100,
+                dials: Vec::new(),
+                server_sides: Vec::new(),
+            }
+        }
+
+        fn never() -> FlakyDialer {
+            FlakyDialer::up_at(t(u64::MAX / 2_000))
+        }
     }
 
     impl Dialer for FlakyDialer {
         fn dial(&mut self, now: Instant) -> Result<Box<dyn Transport>, TransportError> {
+            self.dials.push(now);
             if now < self.up_at {
                 return Err(TransportError::Closed);
             }
@@ -327,104 +263,80 @@ mod tests {
         Ris::new("pc-sup", Box::new(ClosedTransport))
     }
 
+    /// Tick a supervisor over a dead uplink for `for_`; the dialer holds
+    /// the attempt instants.
+    fn ride_outage(sup: &mut Supervisor, dialer: &mut FlakyDialer, from: Instant, for_: Duration) {
+        let mut ris = severed_ris();
+        let mut now = from;
+        while now < from + for_ {
+            sup.tick(&mut ris, dialer, now).unwrap();
+            now += TICK;
+        }
+    }
+
+    /// Assert each gap between consecutive dials is within the ±20 %
+    /// band of its nominal delay (plus one tick of detection latency).
+    fn assert_gaps(dials: &[Instant], nominal: &[Duration]) {
+        assert!(dials.len() > nominal.len(), "too few dials: {dials:?}");
+        for (pair, d) in dials.windows(2).zip(nominal) {
+            let gap = pair[1].since(pair[0]).as_micros();
+            let d = d.as_micros();
+            assert!(
+                gap >= d * 8 / 10 && gap < d * 12 / 10 + TICK.as_micros(),
+                "gap {gap}us outside the jitter band of {d}us"
+            );
+        }
+    }
+
     #[test]
     fn backoff_schedule_is_seed_deterministic() {
-        let cfg = BackoffConfig::default();
-        let schedule = |seed: u64| -> Vec<u64> {
+        let schedule = |seed: u64| -> Vec<Instant> {
             let registry = MetricsRegistry::new();
-            let mut sup = Supervisor::new(seed, cfg, &registry, &[]);
-            let mut ris = severed_ris();
-            let mut dialer = FlakyDialer {
-                up_at: t(u64::MAX / 2_000),
-                seed: 0,
-                server_sides: Vec::new(),
-            };
-            let mut attempts = Vec::new();
-            let mut now = t(0);
-            for _ in 0..2_000 {
-                let due = sup.next_attempt();
-                let _ = sup.tick(&mut ris, &mut dialer, now).unwrap();
-                if let Some(d) = due {
-                    if d <= now && attempts.last() != Some(&now.as_micros()) {
-                        attempts.push(now.as_micros());
-                    }
-                }
-                now += Duration::from_millis(10);
-                if attempts.len() >= 8 {
-                    break;
-                }
-            }
-            attempts
+            let mut sup = Supervisor::new(seed, &registry, &[]);
+            let mut dialer = FlakyDialer::never();
+            ride_outage(&mut sup, &mut dialer, t(0), Duration::from_secs(20));
+            dialer.dials
         };
         let a = schedule(42);
-        let b = schedule(42);
-        let c = schedule(43);
         assert!(a.len() >= 4, "not enough attempts observed: {a:?}");
-        assert_eq!(a, b, "same seed must give the same schedule");
-        assert_ne!(a, c, "different seeds should jitter differently");
+        assert_eq!(a, schedule(42), "same seed must give the same schedule");
+        assert_ne!(a, schedule(43), "different seeds should jitter differently");
     }
 
     #[test]
     fn backoff_grows_and_caps() {
-        let cfg = BackoffConfig {
-            base: Duration::from_millis(100),
-            max: Duration::from_millis(800),
-            multiplier: 2,
-            jitter: 0.0,
-        };
         let registry = MetricsRegistry::new();
-        let mut sup = Supervisor::new(1, cfg, &registry, &[]);
-        let mut ris = severed_ris();
-        let mut dialer = FlakyDialer {
-            up_at: t(u64::MAX / 2_000),
-            seed: 0,
-            server_sides: Vec::new(),
-        };
-        // First tick: outage noted, immediate attempt, fails → 100ms.
-        sup.tick(&mut ris, &mut dialer, t(0)).unwrap();
-        assert_eq!(sup.next_attempt(), Some(t(100)));
-        sup.tick(&mut ris, &mut dialer, t(100)).unwrap();
-        assert_eq!(sup.next_attempt(), Some(t(300))); // +200
-        sup.tick(&mut ris, &mut dialer, t(300)).unwrap();
-        assert_eq!(sup.next_attempt(), Some(t(700))); // +400
-        sup.tick(&mut ris, &mut dialer, t(700)).unwrap();
-        assert_eq!(sup.next_attempt(), Some(t(1500))); // +800 (capped)
-        sup.tick(&mut ris, &mut dialer, t(1500)).unwrap();
-        assert_eq!(sup.next_attempt(), Some(t(2300))); // still +800
+        let mut sup = Supervisor::new(1, &registry, &[]);
+        let mut dialer = FlakyDialer::never();
+        ride_outage(&mut sup, &mut dialer, t(0), Duration::from_secs(120));
+        // The first attempt is immediate; then 0.5 s, 1 s, … doubling
+        // until the cap holds.
+        assert_eq!(dialer.dials[0], t(0));
+        let nominal: Vec<Duration> = (0..8)
+            .map(|k| BACKOFF_BASE.saturating_mul(1 << k).min(BACKOFF_CAP))
+            .collect();
+        assert_eq!(nominal[6], BACKOFF_CAP);
+        assert_gaps(&dialer.dials, &nominal);
         assert_eq!(
             registry
                 .snapshot()
                 .counter("rnl_ris_reconnect_failures_total", &[]),
-            5
+            dialer.dials.len() as u64
         );
     }
 
     #[test]
     fn retry_budget_caps_attempts_per_outage() {
-        let cfg = BackoffConfig {
-            base: Duration::from_millis(100),
-            max: Duration::from_millis(800),
-            multiplier: 2,
-            jitter: 0.0,
-        };
         let registry = MetricsRegistry::new();
-        let mut sup = Supervisor::new(3, cfg, &registry, &[]);
+        let mut sup = Supervisor::new(3, &registry, &[]);
         sup.set_retry_budget(Some(2));
-        let mut ris = severed_ris();
-        let mut dialer = FlakyDialer {
-            up_at: t(u64::MAX / 2_000),
-            seed: 0,
-            server_sides: Vec::new(),
-        };
-        let mut now = t(0);
-        for _ in 0..100 {
-            sup.tick(&mut ris, &mut dialer, now).unwrap();
-            now += Duration::from_millis(10);
-        }
-        // Two failed dials burned the budget; the supervisor gave up
-        // instead of adding retry load, and says so.
+        let mut dialer = FlakyDialer::never();
+        ride_outage(&mut sup, &mut dialer, t(0), BACKOFF_CAP.saturating_mul(2));
+        // Two failed dials, one backoff apart, burned the budget; the
+        // supervisor gave up instead of adding retry load, and says so.
+        assert_eq!(dialer.dials.len(), 2);
+        assert_gaps(&dialer.dials, &[BACKOFF_BASE]);
         assert!(sup.retry_budget_exhausted());
-        assert_eq!(sup.next_attempt(), None);
         assert!(sup.in_outage());
         let snap = registry.snapshot();
         assert_eq!(snap.counter("rnl_ris_reconnect_failures_total", &[]), 2);
@@ -432,54 +344,22 @@ mod tests {
     }
 
     #[test]
-    fn defer_retry_honors_server_backpressure() {
-        let cfg = BackoffConfig {
-            base: Duration::from_millis(100),
-            max: Duration::from_millis(800),
-            multiplier: 2,
-            jitter: 0.0,
-        };
-        let registry = MetricsRegistry::new();
-        let mut sup = Supervisor::new(9, cfg, &registry, &[]);
-        let mut ris = severed_ris();
-        let mut dialer = FlakyDialer {
-            up_at: t(u64::MAX / 2_000),
-            seed: 0,
-            server_sides: Vec::new(),
-        };
-        // First tick fails: backoff would retry at t(100)…
-        sup.tick(&mut ris, &mut dialer, t(0)).unwrap();
-        assert_eq!(sup.next_attempt(), Some(t(100)));
-        // …but the server said retry_after=500ms, which dominates.
-        sup.defer_retry(Duration::from_millis(500), t(0));
-        assert_eq!(sup.next_attempt(), Some(t(500)));
-        // A hint *earlier* than the already-scheduled attempt is a
-        // no-op: the later of the two wins.
-        sup.defer_retry(Duration::from_millis(200), t(0));
-        assert_eq!(sup.next_attempt(), Some(t(500)));
-    }
-
-    #[test]
     fn healthy_supervisor_heartbeats_on_schedule() {
+        let every = DEFAULT_HEARTBEAT_EVERY.as_millis();
         let registry = MetricsRegistry::new();
-        let mut sup = Supervisor::new(5, BackoffConfig::default(), &registry, &[]);
-        sup.set_heartbeat_every(Duration::from_secs(1));
+        let mut sup = Supervisor::new(5, &registry, &[]);
         let (ris_side, mut server_side) = mem_pair_perfect(901);
         let mut ris = Ris::new("pc-hb", Box::new(ris_side));
-        let mut dialer = FlakyDialer {
-            up_at: t(u64::MAX / 2_000),
-            seed: 0,
-            server_sides: Vec::new(),
-        };
+        let mut dialer = FlakyDialer::never();
         // The first healthy tick baselines the schedule; nothing goes
         // out before a full interval has elapsed.
         sup.tick(&mut ris, &mut dialer, t(0)).unwrap();
-        sup.tick(&mut ris, &mut dialer, t(999)).unwrap();
-        assert!(server_side.poll(t(999)).unwrap().is_empty());
+        sup.tick(&mut ris, &mut dialer, t(every - 1)).unwrap();
+        assert!(server_side.poll(t(every - 1)).unwrap().is_empty());
         // From then on: one beat per interval, however often tick runs.
         let mut beats = Vec::new();
-        let mut now = t(999);
-        for _ in 0..20 {
+        let mut now = t(every - 1);
+        for _ in 0..2 * every / 100 {
             now += Duration::from_millis(100);
             sup.tick(&mut ris, &mut dialer, now).unwrap();
             for m in server_side.poll(now).unwrap() {
@@ -488,26 +368,24 @@ mod tests {
                 }
             }
         }
-        assert_eq!(beats, vec![1_099, 2_099], "one beat per elapsed interval");
+        assert_eq!(
+            beats,
+            vec![every + 99, 2 * every + 99],
+            "one beat per elapsed interval"
+        );
+        assert!(
+            dialer.dials.is_empty(),
+            "a healthy uplink is never redialed"
+        );
     }
 
     #[test]
     fn recovery_rejoins_and_records_outage() {
         let registry = MetricsRegistry::new();
-        let cfg = BackoffConfig {
-            base: Duration::from_millis(100),
-            max: Duration::from_secs(1),
-            multiplier: 2,
-            jitter: 0.0,
-        };
-        let mut sup = Supervisor::new(7, cfg, &registry, &[]);
+        let mut sup = Supervisor::new(7, &registry, &[]);
         let mut ris = severed_ris();
         let gen_before = ris.epoch().generation;
-        let mut dialer = FlakyDialer {
-            up_at: t(250),
-            seed: 100,
-            server_sides: Vec::new(),
-        };
+        let mut dialer = FlakyDialer::up_at(t(250));
         let mut now = t(0);
         let mut recovered_at = None;
         for _ in 0..200 {

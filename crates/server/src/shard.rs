@@ -24,7 +24,9 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use rnl_net::time::{Duration, Instant};
+use rnl_obs::lcg64;
 use rnl_obs::metrics::{Counter, Gauge, MetricsRegistry, Snapshot};
+use rnl_tunnel::backoff::Backoff;
 use rnl_tunnel::faults::{ShardFaultKind, ShardFaultPlan};
 use rnl_tunnel::msg::{Msg, PortId, RegisterInfo, RouterId, SessionEpoch};
 use rnl_tunnel::ring::HashRing;
@@ -55,24 +57,24 @@ type Link = ((RouterId, PortId), (RouterId, PortId));
 /// shard's journal records.
 const FED_JOURNAL: &str = "federation.rnl";
 
-/// Trunk redial backoff: first attempt is immediate, then delays grow
-/// `base * 2^n` up to `max`, each jittered ±20% so a fleet of trunks
-/// re-dialing after a shared outage does not thundering-herd.
+/// Trunk redial schedule ([`Backoff`]): first attempt is immediate,
+/// then delays grow `base * 2^n` up to `max`, each jittered ±20% so a
+/// fleet of trunks re-dialing after a shared outage does not
+/// thundering-herd.
 const TRUNK_BACKOFF_BASE: Duration = Duration::from_millis(100);
 const TRUNK_BACKOFF_MAX: Duration = Duration::from_secs(10);
-const TRUNK_JITTER_PCT: u64 = 20;
 
 /// Per-poll byte budget of a trunk (the bounded backlog); a frame that
 /// would exceed it is dropped, newest first, and counted.
 pub const DEFAULT_TRUNK_HWM: usize = 1 << 20;
 
 /// Retry hint handed out when the owner shard is known but down and no
-/// recovery deadline is scheduled.
+/// recovery deadline is scheduled; also the floor of every hint.
 const DEFAULT_RETRY_AFTER: Duration = Duration::from_millis(10);
 
-fn lcg(seed: u64) -> u64 {
-    seed.wrapping_mul(6364136223846793005).wrapping_add(1)
-}
+/// How long a shard whose journal replay failed stays down before the
+/// next recovery attempt.
+const REPLAY_RETRY: Duration = Duration::from_millis(100);
 
 fn trunk_key(a: usize, b: usize) -> (usize, usize) {
     if a < b {
@@ -123,11 +125,8 @@ struct Trunk {
     ever_connected: bool,
     /// While `Some`, redial attempts fail until the clock passes it.
     partitioned_until: Option<Instant>,
-    /// Current backoff delay; reset to base on establish and on sever.
-    delay: Duration,
-    /// Next redial attempt; `None` while the trunk is up.
-    next_attempt: Option<Instant>,
-    jitter_seed: u64,
+    /// Redial schedule, jitter seeded with `token`; parked while up.
+    backoff: Backoff,
     /// Bytes sent this poll cycle, checked against [`DEFAULT_TRUNK_HWM`].
     sent_this_poll: usize,
     m_frames: Counter,
@@ -150,9 +149,7 @@ impl Trunk {
             peer_gen: [0, 0],
             ever_connected: false,
             partitioned_until: None,
-            delay: TRUNK_BACKOFF_BASE,
-            next_attempt: Some(Instant::EPOCH),
-            jitter_seed: token,
+            backoff: Backoff::new(TRUNK_BACKOFF_BASE, TRUNK_BACKOFF_MAX, token),
             sent_this_poll: 0,
             m_frames: obs.counter("rnl_server_shard_trunk_frames_total", labels),
             m_reconnects: obs.counter("rnl_server_shard_trunk_reconnects_total", labels),
@@ -160,10 +157,6 @@ impl Trunk {
             m_fault_dropped: obs.counter("rnl_server_shard_trunk_fault_dropped_total", labels),
             m_stale_hellos: obs.counter("rnl_server_shard_trunk_stale_hellos_total", labels),
         }
-    }
-
-    fn due(&self, now: Instant) -> bool {
-        self.next_attempt.is_some_and(|at| now >= at)
     }
 
     /// Tear the link down, draining and counting any in-flight data
@@ -187,20 +180,7 @@ impl Trunk {
             }
             scratch.clear();
         }
-        self.delay = TRUNK_BACKOFF_BASE;
-        self.next_attempt = Some(now);
-    }
-
-    /// A redial attempt failed (endpoint down or partition in force):
-    /// schedule the next one with jittered exponential backoff.
-    fn note_failure(&mut self, now: Instant) {
-        self.jitter_seed = lcg(self.jitter_seed);
-        let span = 2 * TRUNK_JITTER_PCT + 1;
-        let pct = 100 - TRUNK_JITTER_PCT + self.jitter_seed % span;
-        let wait = self.delay.as_micros().saturating_mul(pct) / 100;
-        self.next_attempt = Some(now + Duration::from_micros(wait));
-        let grown = self.delay.as_micros().saturating_mul(2);
-        self.delay = Duration::from_micros(grown.min(TRUNK_BACKOFF_MAX.as_micros()));
+        self.backoff.restart(now);
     }
 
     /// Bring the trunk up: fresh transport pair, rotated epoch
@@ -227,8 +207,7 @@ impl Trunk {
         }
         self.ever_connected = true;
         self.link = Some((end_a, end_b));
-        self.next_attempt = None;
-        self.delay = TRUNK_BACKOFF_BASE;
+        self.backoff.succeed();
     }
 
     /// Forward one encoded frame over the trunk. `false` means the
@@ -358,6 +337,9 @@ pub struct Federation {
     next_fed_id: u64,
     fed_deployments: BTreeMap<u64, FedDeployment>,
     batch: FrameBatch,
+    /// The latest clock reading [`Federation::poll`] or
+    /// [`Federation::kill_shard`] saw; retry hints count down from it.
+    now: Instant,
     m_containment_sheds: Counter,
 }
 
@@ -381,6 +363,7 @@ impl Federation {
             next_fed_id: 1,
             fed_deployments: BTreeMap::new(),
             batch: FrameBatch::new(),
+            now: Instant::EPOCH,
             m_containment_sheds: obs.counter("rnl_server_shard_containment_sheds_total", &[]),
             obs,
         };
@@ -390,7 +373,7 @@ impl Federation {
         }
         for a in 0..n {
             for b in (a + 1)..n {
-                fed.seed = lcg(fed.seed);
+                fed.seed = lcg64(fed.seed);
                 let trunk = Trunk::new(a, b, fed.seed, &fed.obs);
                 fed.trunks.insert((a, b), trunk);
             }
@@ -645,12 +628,13 @@ impl Federation {
 
     /// How long a caller should wait before retrying an op against
     /// `shard`: until its scheduled recovery if one is pending, else a
-    /// small default.
+    /// small default (which also floors the countdown).
     pub fn retry_hint(&self, shard: usize) -> Duration {
-        match self.slots.get(shard).and_then(|s| s.down_until) {
-            Some(_until) => DEFAULT_RETRY_AFTER + TRUNK_BACKOFF_BASE,
-            None => DEFAULT_RETRY_AFTER,
-        }
+        let left = match self.slots.get(shard).and_then(|s| s.down_until) {
+            Some(until) => until.since(self.now),
+            None => Duration::ZERO,
+        };
+        left.max(DEFAULT_RETRY_AFTER)
     }
 
     // -- session attachment -------------------------------------------
@@ -673,6 +657,7 @@ impl Federation {
     /// when `down_for` is set — the shard auto-recovers from its own
     /// journal once the clock passes `now + down_for`.
     pub fn kill_shard(&mut self, shard: usize, down_for: Option<Duration>, now: Instant) {
+        self.now = now;
         let Some(slot) = self.slots.get_mut(shard) else {
             return;
         };
@@ -763,8 +748,7 @@ impl Federation {
         // The shard is back: trunks touching it may redial immediately.
         for (&(a, b), trunk) in self.trunks.iter_mut() {
             if (a == shard || b == shard) && trunk.link.is_none() {
-                trunk.next_attempt = Some(now);
-                trunk.delay = TRUNK_BACKOFF_BASE;
+                trunk.backoff.restart(now);
             }
         }
         Ok(())
@@ -789,6 +773,7 @@ impl Federation {
     /// the trunks (shedding — counted — what a down trunk cannot
     /// carry).
     pub fn poll(&mut self, now: Instant) {
+        self.now = now;
         for event in self.faults.take_due(now) {
             match event.kind {
                 ShardFaultKind::KillShard { shard, down_for } => {
@@ -810,7 +795,7 @@ impl Federation {
                 // Journal replay failed; push the retry out instead of
                 // spinning on it every tick.
                 if let Some(slot) = self.slots.get_mut(k) {
-                    slot.down_until = Some(now + TRUNK_BACKOFF_BASE);
+                    slot.down_until = Some(now + REPLAY_RETRY);
                 }
             }
         }
@@ -836,7 +821,7 @@ impl Federation {
             let both_up = self.is_up(a) && self.is_up(b);
             // Advance the seed every iteration (used or not) so the
             // stream stays aligned across runs regardless of outcomes.
-            self.seed = lcg(self.seed);
+            self.seed = lcg64(self.seed);
             let seed = self.seed;
             let Some(trunk) = self.trunks.get_mut(&key) else {
                 continue;
@@ -848,14 +833,15 @@ impl Federation {
                 }
                 continue;
             }
-            if !trunk.due(now) {
+            if !trunk.backoff.due(now) {
                 continue;
             }
             let partitioned = trunk.partitioned_until.is_some_and(|until| now < until);
             if both_up && !partitioned {
                 trunk.establish(seed, now);
             } else {
-                trunk.note_failure(now);
+                // Endpoint down or partition in force: back off.
+                trunk.backoff.fail(now);
             }
         }
     }
@@ -1297,6 +1283,28 @@ mod tests {
         let cross = fed.fed_deployment(fed_id).unwrap().cross.clone();
         let (from, to) = cross[0];
         assert_eq!(fed.server(1).unwrap().remote_route(to), Some(from));
+    }
+
+    #[test]
+    fn retry_hint_counts_down_to_the_scheduled_recovery() {
+        let mut fed = Federation::new(2, 0xfed7);
+        fed.kill_shard(1, Some(Duration::from_secs(2)), t(100));
+        assert!(fed.retry_hint(1) >= Duration::from_millis(1_900));
+        for ms in (110..=1_600).step_by(10) {
+            fed.poll(t(ms));
+        }
+        let hint = fed.retry_hint(1);
+        assert!(
+            (450..=550).contains(&hint.as_millis()),
+            "hint 1.5 s into a 2 s outage: {hint}"
+        );
+        match fed.server_mut(1) {
+            Err(ServerError::ShardDown { retry_after, .. }) => assert_eq!(retry_after, hint),
+            _ => unreachable!("expected ShardDown"),
+        }
+        // No scheduled recovery: the hint is the small default.
+        fed.kill_shard(0, None, t(1_600));
+        assert_eq!(fed.retry_hint(0), DEFAULT_RETRY_AFTER);
     }
 
     #[test]

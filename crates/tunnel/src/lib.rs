@@ -25,9 +25,12 @@
 //!   route-server shards (§4: one route server per user, generalized).
 //! * [`wait`] — the readiness wait (`poll(2)` + a cross-thread waker)
 //!   the deployable `routeserver` and `ris` loops block in.
+//! * [`backoff`] — the one seeded, jittered redial schedule behind the
+//!   RIS uplink supervisor, the inter-shard trunks and the mesh probes.
 
 #![deny(unsafe_code)]
 
+pub mod backoff;
 pub mod codec;
 pub mod compress;
 pub mod faults;

@@ -22,14 +22,16 @@
 //! [`crate::transport::TransportStats`] exposes and the chaos suite
 //! asserts across repeated flips.
 //!
-//! Like the reconnect supervisor, probe timing is seeded jitter on the
-//! virtual clock: the same seed replays the same probe schedule, which
-//! is what makes a forced failover (an E17 fault plan cutting the peer
-//! path) a deterministic, replayable experiment rather than a race.
+//! Probe timing is the same seeded [`jittered`] draw the reconnect
+//! supervisor and the shard trunks back off with, on the virtual clock:
+//! the same seed replays the same probe schedule, which is what makes a
+//! forced failover (an E17 fault plan cutting the peer path) a
+//! deterministic, replayable experiment rather than a race.
 
 use rnl_net::time::{Duration, Instant};
 use rnl_obs::{Counter, Gauge, MetricsRegistry};
 
+use crate::backoff::jittered;
 use crate::msg::Msg;
 use crate::transport::{Transport, TransportStats};
 
@@ -78,32 +80,13 @@ impl FailReason {
     }
 }
 
-/// Probe cadence and the failover bound. With the defaults a dead
-/// direct path is detected within `miss_window` (1 s of virtual time)
-/// of its last heard probe — the bounded failover window of E24.
-#[derive(Debug, Clone, Copy)]
-pub struct ProbeConfig {
-    /// Base probe interval; actual gaps are jittered around this.
-    pub interval: Duration,
-    /// ± jitter applied to each gap, as a percentage of `interval`.
-    pub jitter_pct: u64,
-    /// Silence longer than this fails the path over.
-    pub miss_window: Duration,
-}
+/// Base probe interval; each gap is [`jittered`] ±20 % around it.
+const PROBE_INTERVAL: Duration = Duration::from_millis(250);
 
-impl Default for ProbeConfig {
-    fn default() -> ProbeConfig {
-        ProbeConfig {
-            interval: Duration::from_millis(250),
-            jitter_pct: 20,
-            miss_window: Duration::from_secs(1),
-        }
-    }
-}
-
-fn splitmix64(z: u64) -> u64 {
-    rnl_obs::mix64(z.wrapping_add(rnl_obs::GOLDEN_GAMMA))
-}
+/// Silence longer than this fails the path over: a dead direct path is
+/// detected within one window (1 s of virtual time) of its last heard
+/// probe — the bounded failover window of E24.
+const MISS_WINDOW: Duration = Duration::from_secs(1);
 
 /// Cached metric handles for one path, labelled by wire id. Handles are
 /// get-or-create on the registry, so a re-offered wire (rotated epoch)
@@ -154,7 +137,6 @@ pub struct MeshPath {
     secret: u64,
     peer: Box<dyn Transport>,
     state: PathState,
-    cfg: ProbeConfig,
     rng: u64,
     next_probe: Instant,
     last_heard: Instant,
@@ -176,7 +158,6 @@ impl MeshPath {
         wire: u64,
         secret: u64,
         peer: Box<dyn Transport>,
-        cfg: ProbeConfig,
         seed: u64,
         obs: &MetricsRegistry,
         now: Instant,
@@ -184,14 +165,15 @@ impl MeshPath {
         let m = PathMetrics::new(obs, wire);
         m.state_direct.set(1.0);
         m.state_relay.set(0.0);
-        let mut path = MeshPath {
+        let mut rng = rnl_obs::mix64((seed ^ wire).wrapping_add(rnl_obs::GOLDEN_GAMMA));
+        let next_probe = now + jittered(PROBE_INTERVAL, &mut rng);
+        MeshPath {
             wire,
             secret,
             peer,
             state: PathState::Direct,
-            cfg,
-            rng: splitmix64(seed ^ wire),
-            next_probe: now,
+            rng,
+            next_probe,
             last_heard: now,
             heard_since_failover: true,
             probe_seq: 0,
@@ -199,19 +181,7 @@ impl MeshPath {
             probes_heard: 0,
             data_sent: 0,
             m,
-        };
-        path.next_probe = now + path.next_gap();
-        path
-    }
-
-    fn next_gap(&mut self) -> Duration {
-        self.rng = splitmix64(self.rng);
-        let base = self.cfg.interval.as_micros().max(1);
-        let j = self.cfg.jitter_pct.min(99);
-        let lo = base.saturating_mul(100 - j) / 100;
-        let hi = base.saturating_mul(100 + j) / 100;
-        let span = (hi - lo).max(1);
-        Duration::from_micros(lo.max(1) + self.rng % span)
+        }
     }
 
     /// The wire this path serves.
@@ -251,8 +221,7 @@ impl MeshPath {
     /// the direct path, for the caller to deliver to its devices.
     pub fn tick(&mut self, now: Instant) -> Vec<Msg> {
         while self.next_probe <= now {
-            let gap = self.next_gap();
-            self.next_probe += gap;
+            self.next_probe += jittered(PROBE_INTERVAL, &mut self.rng);
             self.probe_seq += 1;
             let probe = Msg::MeshProbe {
                 wire: self.wire,
@@ -297,7 +266,7 @@ impl MeshPath {
             PathState::Direct => {
                 if !self.peer.is_connected() {
                     self.fail_over(FailReason::Fault);
-                } else if now.since(self.last_heard) > self.cfg.miss_window {
+                } else if now.since(self.last_heard) > MISS_WINDOW {
                     self.fail_over(FailReason::ProbeMiss);
                 }
             }
@@ -370,9 +339,8 @@ mod tests {
 
     fn pair(seed: u64, obs: &MetricsRegistry) -> (MeshPath, MeshPath) {
         let (a, b) = mem_pair_perfect(seed);
-        let cfg = ProbeConfig::default();
-        let pa = MeshPath::new(7, 0xfeed, Box::new(a), cfg, 1, obs, t(0));
-        let pb = MeshPath::new(7, 0xfeed, Box::new(b), cfg, 2, obs, t(0));
+        let pa = MeshPath::new(7, 0xfeed, Box::new(a), 1, obs, t(0));
+        let pb = MeshPath::new(7, 0xfeed, Box::new(b), 2, obs, t(0));
         (pa, pb)
     }
 
@@ -411,9 +379,8 @@ mod tests {
         // Cut A's send direction (and its connectivity) for 2 s.
         plan.schedule(FaultKind::Cut, t(1_000), Duration::from_millis(2_000));
         faulted.set_faults(plan);
-        let cfg = ProbeConfig::default();
-        let mut a = MeshPath::new(1, 5, Box::new(faulted), cfg, 1, &obs, t(0));
-        let mut b = MeshPath::new(1, 5, Box::new(b_end), cfg, 2, &obs, t(0));
+        let mut a = MeshPath::new(1, 5, Box::new(faulted), 1, &obs, t(0));
+        let mut b = MeshPath::new(1, 5, Box::new(b_end), 2, &obs, t(0));
         let mut a_failover_at = None;
         let mut b_failover_at = None;
         for ms in (0..6_000).step_by(10) {
@@ -433,7 +400,7 @@ mod tests {
         let b_at = b_failover_at.expect("B must fail over");
         assert!(a_at <= 1_010, "A failover at {a_at}ms");
         assert!(
-            b_at <= 1_000 + cfg.miss_window.as_micros() / 1_000 + cfg.interval.as_micros() / 1_000,
+            b_at <= 1_000 + MISS_WINDOW.as_millis() + PROBE_INTERVAL.as_millis(),
             "B failover at {b_at}ms exceeds the bounded window"
         );
         // After the window closes both ends hear probes again and fail
@@ -461,11 +428,10 @@ mod tests {
     fn stale_secret_probes_are_ignored() {
         let obs = MetricsRegistry::new();
         let (a_end, b_end) = mem_pair_perfect(11);
-        let cfg = ProbeConfig::default();
         // Same wire, different secrets: a stale path from a previous
         // epoch. Neither side may accept the other's probes.
-        let mut a = MeshPath::new(4, 111, Box::new(a_end), cfg, 1, &obs, t(0));
-        let mut b = MeshPath::new(4, 222, Box::new(b_end), cfg, 2, &obs, t(0));
+        let mut a = MeshPath::new(4, 111, Box::new(a_end), 1, &obs, t(0));
+        let mut b = MeshPath::new(4, 222, Box::new(b_end), 2, &obs, t(0));
         for ms in (0..3_000).step_by(10) {
             let _ = a.tick(t(ms));
             let _ = b.tick(t(ms));
@@ -482,15 +448,7 @@ mod tests {
         let run = |seed: u64| {
             let obs = MetricsRegistry::new();
             let (a_end, _b) = mem_pair_perfect(1);
-            let mut a = MeshPath::new(
-                2,
-                9,
-                Box::new(a_end),
-                ProbeConfig::default(),
-                seed,
-                &obs,
-                t(0),
-            );
+            let mut a = MeshPath::new(2, 9, Box::new(a_end), seed, &obs, t(0));
             for ms in (0..2_000).step_by(10) {
                 let _ = a.tick(t(ms));
             }

@@ -130,7 +130,7 @@ proptest! {
         nwin in 0usize..5,
     ) {
         use rnl_obs::MetricsRegistry;
-        use rnl_tunnel::mesh::{MeshPath, PathState, ProbeConfig};
+        use rnl_tunnel::mesh::{MeshPath, PathState};
 
         let loss = f64::from(loss_step) * 0.1;
         let imp = Impairment {
@@ -162,8 +162,8 @@ proptest! {
 
         let obs = MetricsRegistry::new();
         let t0 = Instant::EPOCH;
-        let mut a = MeshPath::new(9, 0xbeef, Box::new(ta), ProbeConfig::default(), seed, &obs, t0);
-        let mut b = MeshPath::new(9, 0xbeef, Box::new(tb), ProbeConfig::default(), seed ^ 1, &obs, t0);
+        let mut a = MeshPath::new(9, 0xbeef, Box::new(ta), seed, &obs, t0);
+        let mut b = MeshPath::new(9, 0xbeef, Box::new(tb), seed ^ 1, &obs, t0);
 
         let mut offered = 0u64;
         let mut accepted: Vec<u32> = Vec::new();
