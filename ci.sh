@@ -46,10 +46,13 @@ cargo test -q --offline -p rnl --test verify
 # table (design/user names by ring, routers by id range).
 cargo test -q --offline -p rnl --test shard
 # The binaries' own contracts: `rnl-lint --json` prints exactly the web
-# API's analysis/verification payloads, and `routeserver --shards N`
-# refuses the single-server flags it would otherwise ignore.
+# API's analysis/verification payloads, `routeserver --shards N`
+# refuses the single-server flags it would otherwise ignore, and a
+# killed `routeserver` (single and `--shards 2`) restarts on its
+# `--state-dir` with the API's view unchanged.
 cargo test -q --offline -p rnl-server --test lint_cli
 cargo test -q --offline -p rnl-server --test routeserver_cli
+cargo test -q --offline -p rnl-server --test routeserver_restart
 # E24 mesh: the direct site-to-site data plane — relay counters flat
 # while paths are healthy, seeded-cut failover within the bounded
 # window, zero frames lost in accounting, failback after the heal.

@@ -26,6 +26,8 @@
 //! trunks, API requests route through the sharded front tier, and each
 //! shard journals to its own `PATH/shard-<k>/` — a shard whose journal
 //! fails is killed and recovered in place while its siblings serve.
+//! Spanning deployments go to the federation's own log in
+//! `PATH/federation/`; a failed write there fail-stops the process.
 //! The shards run the default overload policy, fsync policy and
 //! snapshot interval, so `--hwm`, `--op-deadline`, `--fsync-every` and
 //! `--snapshot-every` are refused together with `--shards N > 1`.
@@ -351,7 +353,8 @@ fn main() {
 /// range, so cross-shard wires ride the supervised trunks); API
 /// requests go through the sharded front tier; a shard whose journal
 /// fails is killed in place and journal-recovered while its siblings
-/// keep serving — the process no longer fail-stops as a whole.
+/// keep serving. Only a failed federation-log write fail-stops the
+/// whole process.
 fn run_sharded(
     n: usize,
     state_dir: Option<String>,
@@ -381,7 +384,7 @@ fn run_sharded(
             eprintln!("routeserver: cannot open sharded state dir {dir}: {e}");
             std::process::exit(2);
         }
-        eprintln!("routeserver: durable shard state under {dir}/shard-<k>/");
+        eprintln!("routeserver: durable shard state under {dir}/shard-<k>/ and {dir}/federation/");
     }
     eprintln!("routeserver: federation of {n} shards; session flap grace window {grace_secs}s");
 
@@ -435,6 +438,12 @@ fn run_sharded(
             }
         }
         fed.poll(now());
+        if fed.crashed() {
+            eprintln!(
+                "routeserver: federation journal write failed; fail-stopping (restart to recover)"
+            );
+            std::process::exit(1);
+        }
         // Crash containment: a shard whose journal failed is killed on
         // the spot and scheduled for journal recovery; its siblings and
         // the intra-shard relay keep serving throughout.

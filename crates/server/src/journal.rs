@@ -5,10 +5,11 @@
 //! whole lab cloud, yet a restart forgets every reservation, deployment
 //! and matrix entry. This module gives it a durable spine without any
 //! external dependency: every state mutation is appended to a journal as
-//! a length-prefixed, checksummed JSON record, and the full durable
-//! state is periodically written as a compacting snapshot. Recovery is
-//! snapshot + tail replay; a torn final record (the crash landed mid
-//! `write`) is detected by its checksum and truncated — never a panic.
+//! a length-prefixed, checksummed JSON record, and the durable state is
+//! periodically compacted into a snapshot — the records that rebuild it,
+//! framed the same way. Recovery replays the snapshot's records, then
+//! the tail's; a torn final record (the crash landed mid `write`) is
+//! detected by its checksum and truncated — never a panic.
 //!
 //! ## Record framing
 //!
@@ -20,6 +21,9 @@
 //! loudly at the *first* record instead of misparsing silently; a wrong
 //! version mid-file is indistinguishable from tail corruption and is
 //! truncated like one.
+//!
+//! Version 2 is the first format whose snapshot is a record sequence;
+//! a version-1 store is refused with [`JournalError::Version`].
 //!
 //! Two backends implement [`Durability`]: [`MemJournal`] (an
 //! `Arc`-shared byte store — virtual-clock tests crash and recover a
@@ -38,7 +42,7 @@ use rnl_obs::fnv1a64;
 
 /// Journal format version; bumping it invalidates existing stores
 /// loudly (see [`JournalError::Version`]).
-pub const JOURNAL_VERSION: u8 = 1;
+pub const JOURNAL_VERSION: u8 = 2;
 
 /// Bytes of framing before each record's payload.
 pub const RECORD_HEADER_LEN: usize = 1 + 4 + 8;
@@ -99,10 +103,11 @@ impl std::error::Error for JournalError {}
 /// Everything a backend hands back at recovery time.
 #[derive(Debug, Default)]
 pub struct Recovered {
-    /// The latest snapshot payload, if one was ever written.
-    pub snapshot: Option<Vec<u8>>,
-    /// Journal record payloads appended after that snapshot, in order.
+    /// Record payloads in replay order: the latest snapshot's records,
+    /// then the journal records appended after it.
     pub records: Vec<Vec<u8>>,
+    /// How many leading `records` came from the snapshot.
+    pub snapshot_records: usize,
     /// Torn trailing records detected by checksum and truncated.
     pub torn: u64,
 }
@@ -115,11 +120,11 @@ pub trait Durability: Send {
     /// Append one record payload. Returns the framed size in bytes.
     fn append(&mut self, payload: &[u8]) -> Result<usize, JournalError>;
 
-    /// Atomically replace the snapshot with `payload` and truncate the
+    /// Atomically replace the snapshot with `records` and truncate the
     /// journal (the snapshot now subsumes it).
-    fn write_snapshot(&mut self, payload: &[u8]) -> Result<(), JournalError>;
+    fn write_snapshot(&mut self, records: &[Vec<u8>]) -> Result<(), JournalError>;
 
-    /// Read the store back: latest snapshot plus the journal tail.
+    /// Read the store back: the snapshot's records, then the journal's.
     /// Torn trailing journal records are truncated (and counted), so a
     /// crashed store self-heals on first load.
     fn load(&mut self) -> Result<Recovered, JournalError>;
@@ -160,6 +165,31 @@ pub fn frame_record(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&fnv1a64(payload).to_be_bytes());
     out.extend_from_slice(payload);
     out
+}
+
+/// Frame a record sequence back to back: a snapshot's bytes.
+fn frame_records(records: &[Vec<u8>]) -> Vec<u8> {
+    records.iter().flat_map(|r| frame_record(r)).collect()
+}
+
+/// Decode a snapshot's bytes; a torn record anywhere in them is
+/// [`JournalError::CorruptSnapshot`].
+fn decode_snapshot(bytes: &[u8]) -> Result<Vec<Vec<u8>>, JournalError> {
+    match decode_records(bytes)? {
+        (records, 0, _) => Ok(records),
+        _ => Err(JournalError::CorruptSnapshot),
+    }
+}
+
+/// The snapshot's records followed by the journal tail's.
+fn replay_order(mut snapshot: Vec<Vec<u8>>, tail: Vec<Vec<u8>>, torn: u64) -> Recovered {
+    let snapshot_records = snapshot.len();
+    snapshot.extend(tail);
+    Recovered {
+        records: snapshot,
+        snapshot_records,
+        torn,
+    }
 }
 
 /// Walk a byte buffer of framed records. Returns the decoded payloads,
@@ -287,14 +317,14 @@ impl Durability for MemJournal {
         Ok(n)
     }
 
-    fn write_snapshot(&mut self, payload: &[u8]) -> Result<(), JournalError> {
+    fn write_snapshot(&mut self, records: &[Vec<u8>]) -> Result<(), JournalError> {
         if self.take_crash(CrashPoint::MidSnapshot) {
             // Half the framed bytes went to the scratch area and are
             // lost with the crash; the committed snapshot and the
             // journal are untouched — the atomicity contract.
             return Err(JournalError::Crash(CrashPoint::MidSnapshot));
         }
-        let framed = frame_record(payload);
+        let framed = frame_records(records);
         let mut store = self.store.lock().map_err(|_| poisoned())?;
         store.snapshot = framed;
         store.log.clear();
@@ -306,15 +336,7 @@ impl Durability for MemJournal {
             let store = self.store.lock().map_err(|_| poisoned())?;
             (store.snapshot.clone(), store.log.clone())
         };
-        let snapshot = if snapshot_bytes.is_empty() {
-            None
-        } else {
-            let (mut payloads, torn, _) = decode_records(&snapshot_bytes)?;
-            if torn > 0 || payloads.len() != 1 {
-                return Err(JournalError::CorruptSnapshot);
-            }
-            payloads.pop()
-        };
+        let snapshot = decode_snapshot(&snapshot_bytes)?;
         let (records, torn, valid_len) = decode_records(&log_bytes)?;
         if torn > 0 {
             self.store
@@ -323,11 +345,7 @@ impl Durability for MemJournal {
                 .log
                 .truncate(valid_len);
         }
-        Ok(Recovered {
-            snapshot,
-            records,
-            torn,
-        })
+        Ok(replay_order(snapshot, records, torn))
     }
 
     fn arm_crash(&mut self, point: Option<CrashPoint>) {
@@ -435,8 +453,8 @@ impl Durability for FileJournal {
         Ok(n)
     }
 
-    fn write_snapshot(&mut self, payload: &[u8]) -> Result<(), JournalError> {
-        let framed = frame_record(payload);
+    fn write_snapshot(&mut self, records: &[Vec<u8>]) -> Result<(), JournalError> {
+        let framed = frame_records(records);
         let tmp = self.snapshot_tmp_path();
         if self.take_crash(CrashPoint::MidSnapshot) {
             // Simulate dying half-way through the temp write: a partial
@@ -457,15 +475,8 @@ impl Durability for FileJournal {
 
     fn load(&mut self) -> Result<Recovered, JournalError> {
         let snapshot = match fs::read(self.snapshot_path()) {
-            Ok(bytes) if !bytes.is_empty() => {
-                let (mut payloads, torn, _) = decode_records(&bytes)?;
-                if torn > 0 || payloads.len() != 1 {
-                    return Err(JournalError::CorruptSnapshot);
-                }
-                payloads.pop()
-            }
-            Ok(_) => None,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Ok(bytes) => decode_snapshot(&bytes)?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(JournalError::Io(e.to_string())),
         };
         let log_bytes = match fs::read(self.journal_path()) {
@@ -485,11 +496,7 @@ impl Durability for FileJournal {
             file.set_len(valid_len as u64)
                 .map_err(|e| JournalError::Io(e.to_string()))?;
         }
-        Ok(Recovered {
-            snapshot,
-            records,
-            torn,
-        })
+        Ok(replay_order(snapshot, records, torn))
     }
 
     fn arm_crash(&mut self, point: Option<CrashPoint>) {
@@ -518,7 +525,7 @@ mod tests {
         // Future format bumps must fail loudly, not misparse: a store
         // whose first record carries a different version byte is
         // rejected outright.
-        assert_eq!(JOURNAL_VERSION, 1);
+        assert_eq!(JOURNAL_VERSION, 2);
         let mut framed = frame_record(b"{}");
         framed[0] = JOURNAL_VERSION + 1;
         assert!(matches!(
@@ -534,7 +541,7 @@ mod tests {
         j.append(b"two").unwrap();
         j.append(b"three").unwrap();
         let rec = j.load().unwrap();
-        assert!(rec.snapshot.is_none());
+        assert_eq!(rec.snapshot_records, 0);
         assert_eq!(rec.torn, 0);
         assert_eq!(
             rec.records,
@@ -573,21 +580,37 @@ mod tests {
         assert_eq!(rec.torn, 1);
     }
 
+    fn recs(records: &[&[u8]]) -> Vec<Vec<u8>> {
+        records.iter().map(|r| r.to_vec()).collect()
+    }
+
     #[test]
     fn snapshot_subsumes_the_journal() {
         let mut j = MemJournal::new();
         j.append(b"a").unwrap();
-        j.write_snapshot(b"state-1").unwrap();
+        j.write_snapshot(&recs(&[b"state-1", b"state-2"])).unwrap();
         j.append(b"b").unwrap();
         let rec = j.load().unwrap();
-        assert_eq!(rec.snapshot, Some(b"state-1".to_vec()));
-        assert_eq!(rec.records, vec![b"b".to_vec()]);
+        assert_eq!(rec.records, recs(&[b"state-1", b"state-2", b"b"]));
+        assert_eq!(rec.snapshot_records, 2);
+    }
+
+    #[test]
+    fn torn_snapshot_is_corruption_not_a_tail() {
+        let mut j = MemJournal::new();
+        j.write_snapshot(&recs(&[b"one", b"two"])).unwrap();
+        {
+            let store = j.store();
+            let mut s = store.lock().unwrap();
+            s.snapshot.pop();
+        }
+        assert!(matches!(j.load(), Err(JournalError::CorruptSnapshot)));
     }
 
     #[test]
     fn crash_points_fire_once_and_honor_atomicity() {
         let mut j = MemJournal::new();
-        j.write_snapshot(b"base").unwrap();
+        j.write_snapshot(&recs(&[b"base"])).unwrap();
         j.append(b"op").unwrap();
 
         j.arm_crash(Some(CrashPoint::BeforeAppend));
@@ -597,13 +620,13 @@ mod tests {
         ));
         j.arm_crash(Some(CrashPoint::MidSnapshot));
         assert!(matches!(
-            j.write_snapshot(b"never"),
+            j.write_snapshot(&recs(&[b"never"])),
             Err(JournalError::Crash(CrashPoint::MidSnapshot))
         ));
         // The store still reads exactly as before both crashes.
         let rec = j.load().unwrap();
-        assert_eq!(rec.snapshot, Some(b"base".to_vec()));
-        assert_eq!(rec.records, vec![b"op".to_vec()]);
+        assert_eq!(rec.records, recs(&[b"base", b"op"]));
+        assert_eq!(rec.snapshot_records, 1);
 
         j.arm_crash(Some(CrashPoint::AfterAppend));
         assert!(matches!(
@@ -612,7 +635,7 @@ mod tests {
         ));
         // AfterAppend crashes *after* the bytes landed.
         let rec = j.load().unwrap();
-        assert_eq!(rec.records, vec![b"op".to_vec(), b"written".to_vec()]);
+        assert_eq!(rec.records, recs(&[b"base", b"op", b"written"]));
     }
 
     #[test]
@@ -626,7 +649,7 @@ mod tests {
         {
             let mut j = FileJournal::open(&dir).unwrap();
             j.append(b"one").unwrap();
-            j.write_snapshot(b"snap").unwrap();
+            j.write_snapshot(&recs(&[b"snap"])).unwrap();
             j.append(b"two").unwrap();
             j.append(b"torn").unwrap();
         }
@@ -637,13 +660,13 @@ mod tests {
         {
             let mut j = FileJournal::open(&dir).unwrap();
             let rec = j.load().unwrap();
-            assert_eq!(rec.snapshot, Some(b"snap".to_vec()));
-            assert_eq!(rec.records, vec![b"two".to_vec()]);
+            assert_eq!(rec.records, recs(&[b"snap", b"two"]));
+            assert_eq!(rec.snapshot_records, 1);
             assert_eq!(rec.torn, 1);
             // Appends continue on the healed boundary.
             j.append(b"three").unwrap();
             let rec = j.load().unwrap();
-            assert_eq!(rec.records, vec![b"two".to_vec(), b"three".to_vec()]);
+            assert_eq!(rec.records, recs(&[b"snap", b"two", b"three"]));
             assert_eq!(rec.torn, 0);
         }
         let _ = fs::remove_dir_all(&dir);
@@ -672,14 +695,14 @@ mod tests {
             // A snapshot subsumes unsynced appends, so it also clears
             // the dirty window.
             j.append(b"three").unwrap();
-            j.write_snapshot(b"snap").unwrap();
+            j.write_snapshot(&recs(&[b"snap"])).unwrap();
             j.append(b"four").unwrap();
             j.flush().unwrap();
         }
         let mut j = FileJournal::open(&dir).unwrap();
         let rec = j.load().unwrap();
-        assert_eq!(rec.snapshot, Some(b"snap".to_vec()));
-        assert_eq!(rec.records, vec![b"four".to_vec()]);
+        assert_eq!(rec.records, recs(&[b"snap", b"four"]));
+        assert_eq!(rec.snapshot_records, 1);
         assert_eq!(rec.torn, 0);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -693,13 +716,13 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         let mut j = FileJournal::open(&dir).unwrap();
-        j.write_snapshot(b"old").unwrap();
+        j.write_snapshot(&recs(&[b"old"])).unwrap();
         j.append(b"tail").unwrap();
         j.arm_crash(Some(CrashPoint::MidSnapshot));
-        assert!(j.write_snapshot(b"new").is_err());
+        assert!(j.write_snapshot(&recs(&[b"new"])).is_err());
         let rec = j.load().unwrap();
-        assert_eq!(rec.snapshot, Some(b"old".to_vec()));
-        assert_eq!(rec.records, vec![b"tail".to_vec()]);
+        assert_eq!(rec.records, recs(&[b"old", b"tail"]));
+        assert_eq!(rec.snapshot_records, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -61,7 +61,7 @@ use matrix::{DeploymentId, MatrixError, RoutingMatrix};
 use mesh::MeshControl;
 use overload::{Deadline, OverloadConfig, Shedder, Tier};
 use reserve::{Calendar, Reservation, ReservationId, ReserveError};
-use snapshot::{DeploymentSeed, Op, SessionSeed};
+use snapshot::Op;
 
 /// Route-server failure.
 #[derive(Debug)]
@@ -719,15 +719,19 @@ impl RouteServer {
         self.crashed
     }
 
-    /// Commit a compacting snapshot now: the durable state replaces the
-    /// snapshot file and the journal tail is truncated. No-op without a
-    /// journal.
+    /// Commit a compacting snapshot now: the durable state's ops replace
+    /// the snapshot file and the journal tail is truncated. No-op
+    /// without a journal.
     pub fn snapshot_now(&mut self, now: Instant) -> Result<(), ServerError> {
-        let payload = self.durable_state().encode();
-        let Some(wal) = self.wal.as_mut() else {
+        if self.wal.is_none() {
             return Ok(());
-        };
-        match wal.write_snapshot(payload.as_bytes()) {
+        }
+        let records: Vec<Vec<u8>> = self.durable_ops().iter().map(Op::encode).collect();
+        let written = self
+            .wal
+            .as_mut()
+            .map_or(Ok(()), |wal| wal.write_snapshot(&records));
+        match written {
             Ok(()) => {
                 self.last_snapshot = Some(now);
                 Ok(())
@@ -739,26 +743,57 @@ impl RouteServer {
         }
     }
 
-    /// The full durable state as deterministic JSON — what a snapshot
-    /// persists and what recovery reconstructs, byte for byte.
+    /// The snapshot payload: the durable state as the JSON array of the
+    /// ops that rebuild it — what a snapshot persists and what recovery
+    /// reconstructs, byte for byte.
     pub fn durable_state(&self) -> Json {
-        let sessions: Vec<SessionSeed> = self
+        Json::Arr(self.durable_ops().iter().map(Op::to_json).collect())
+    }
+
+    /// The shortest op sequence that rebuilds the durable state: one
+    /// `Session` per registered session with the inventory records it
+    /// fronts, then reservations, saved designs and deployments, each in
+    /// id (or name) order, then the id counters.
+    fn durable_ops(&self) -> Vec<Op> {
+        let mut ops: Vec<Op> = self
             .sessions
             .iter()
             .filter_map(|(sid, s)| match (&s.pc_name, s.epoch) {
-                (Some(pc), Some(epoch)) => Some(SessionSeed {
+                (Some(pc), Some(epoch)) => Some(Op::Session {
                     sid: *sid,
                     pc_name: pc.clone(),
                     epoch,
+                    replaces: None,
+                    routers: self
+                        .inventory
+                        .list()
+                        .filter(|r| r.session == *sid)
+                        .map(|r| (r.id, r.info.clone()))
+                        .collect(),
                 }),
                 // A session that never registered has nothing durable.
                 _ => None,
             })
             .collect();
-        let deployments: Vec<DeploymentSeed> = self
-            .deployments
-            .values()
-            .map(|d| DeploymentSeed {
+        ops.extend(self.calendar.iter().map(|r| Op::Reserve {
+            id: r.id,
+            user: r.user.clone(),
+            routers: r.routers.clone(),
+            start: r.start,
+            end: r.end,
+        }));
+        ops.extend(
+            self.designs
+                .names()
+                .filter_map(|name| self.designs.load(name))
+                .map(|d| Op::SaveDesign {
+                    design: d.to_json(),
+                }),
+        );
+        let mut deployments: Vec<&DeploymentRecord> = self.deployments.values().collect();
+        deployments.sort_by_key(|d| d.id);
+        ops.extend(deployments.into_iter().map(|d| {
+            Op::Deploy {
                 id: d.id,
                 user: d.user.clone(),
                 design_name: d.design_name.clone(),
@@ -768,17 +803,16 @@ impl RouteServer {
                     .links_of(d.id)
                     .map(|links| links.to_vec())
                     .unwrap_or_default(),
-            })
-            .collect();
-        snapshot::state_to_json(
-            self.next_session,
-            &sessions,
-            &self.inventory,
-            &self.calendar,
-            self.matrix.next_id(),
-            &deployments,
-            &self.designs,
-        )
+            }
+        }));
+        ops.push(Op::Watermarks {
+            next_session: self.next_session,
+            next_router: self.inventory.next_id(),
+            next_reservation: self.calendar.next_id(),
+            next_deployment: self.matrix.next_id(),
+            next_federation: 0,
+        });
+        ops
     }
 
     /// Append one mutation to the journal. The mutation has already
@@ -792,8 +826,7 @@ impl RouteServer {
         let Some(wal) = self.wal.as_mut() else {
             return;
         };
-        let payload = op.to_json().encode();
-        let outcome = wal.append(payload.as_bytes());
+        let outcome = wal.append(&op.encode());
         perf.finish();
         match outcome {
             Ok(written) => {
@@ -806,14 +839,8 @@ impl RouteServer {
         }
     }
 
-    fn parse_payload(bytes: &[u8]) -> Result<Json, ServerError> {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| ServerError::Durability("journal payload is not UTF-8".to_string()))?;
-        Json::parse(text).map_err(|e| ServerError::Durability(format!("journal payload: {e}")))
-    }
-
-    /// Rebuild a server from a journal: load the last snapshot, replay
-    /// the tail, and start every recovered session in its grace window
+    /// Rebuild a server from a journal: replay the snapshot's ops, then
+    /// the tail's, and start every recovered session in its grace window
     /// so re-registering RIS supervisors re-adopt their hardware onto
     /// the recovered matrix. Torn trailing records are truncated and
     /// counted, never fatal; a corrupt *snapshot* is fatal (that is
@@ -822,38 +849,12 @@ impl RouteServer {
         let started = std::time::Instant::now();
         let recovered = wal.load()?;
         let mut server = RouteServer::new();
-        if let Some(snapshot) = &recovered.snapshot {
-            let state = snapshot::state_from_json(&Self::parse_payload(snapshot)?, now)?;
-            server.next_session = state.next_session;
-            server.inventory = state.inventory;
-            server.calendar = state.calendar;
-            server.matrix.set_next_id(state.matrix_next);
-            for d in state.deployments {
-                server.matrix.restore(d.id, &d.routers, &d.links);
-                server.deployments.insert(
-                    d.id,
-                    DeploymentRecord {
-                        id: d.id,
-                        user: d.user,
-                        design_name: d.design_name,
-                        routers: d.routers,
-                    },
-                );
+        server.m_journal_torn.add(recovered.torn);
+        for (i, record) in recovered.records.iter().enumerate() {
+            server.apply_op(Op::decode(record)?, now);
+            if i >= recovered.snapshot_records {
+                server.m_journal_replayed.inc();
             }
-            for s in state.sessions {
-                server.seed_session(s.sid, s.pc_name, s.epoch, now);
-            }
-            for design in state.designs {
-                server.designs.save(design);
-            }
-        }
-        if recovered.torn > 0 {
-            server.m_journal_torn.add(recovered.torn);
-        }
-        for record in &recovered.records {
-            let op = Op::from_json(&Self::parse_payload(record)?)?;
-            server.apply_op(op, now);
-            server.m_journal_replayed.inc();
         }
         server.note_graced();
         server.wal = Some(wal);
@@ -982,6 +983,20 @@ impl RouteServer {
             Op::DeleteDesign { name } => {
                 self.designs.delete(&name);
             }
+            Op::Watermarks {
+                next_session,
+                next_router,
+                next_reservation,
+                next_deployment,
+                next_federation: _,
+            } => {
+                self.next_session = self.next_session.max(next_session);
+                self.inventory.set_next_id(next_router);
+                self.calendar.set_next_id(next_reservation);
+                self.matrix.set_next_id(next_deployment);
+            }
+            // Federation records live in the federation's own log.
+            Op::FedDeploy { .. } | Op::FedTeardown { .. } => {}
         }
     }
 

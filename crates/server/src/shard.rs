@@ -11,7 +11,9 @@
 //! partitioned across `N` shards by consistent hash over the RIS
 //! principal ([`HashRing`]), cross-shard wires relay over supervised
 //! inter-shard trunks, and each shard owns its own journal so a crash
-//! is recovered locally while siblings keep serving. Partial failure
+//! is recovered locally while siblings keep serving. Spanning
+//! deployments, which no single shard's journal records, go to the
+//! federation's own log in the same format. Partial failure
 //! is *contained*: a dead trunk sheds only the cross-shard frames that
 //! needed it (counted `reason="trunk-down"`), never intra-shard
 //! traffic.
@@ -28,14 +30,14 @@ use rnl_obs::lcg64;
 use rnl_obs::metrics::{Counter, Gauge, MetricsRegistry, Snapshot};
 use rnl_tunnel::backoff::Backoff;
 use rnl_tunnel::faults::{ShardFaultKind, ShardFaultPlan};
-use rnl_tunnel::msg::{Msg, PortId, RegisterInfo, RouterId, SessionEpoch};
+use rnl_tunnel::msg::{Msg, RegisterInfo, RouterId, SessionEpoch};
 use rnl_tunnel::ring::HashRing;
 use rnl_tunnel::transport::{mem_pair_perfect, FrameBatch, MemTransport, Transport};
 use rnl_tunnel::wait::PollFd;
 
-use crate::design::Design;
+use crate::design::{Design, Link};
 use crate::journal::{Durability, FileJournal, MemJournal, SharedStore};
-use crate::json::Json;
+use crate::snapshot::Op;
 use crate::{DeploymentId, RouteServer, ServerError, SessionId};
 
 /// Router-id range owned by each shard: shard `k` allocates global ids
@@ -49,13 +51,10 @@ pub fn shard_of_router(router: RouterId) -> usize {
     (router.0 / SHARD_ID_STRIDE) as usize
 }
 
-/// A design link: two (router, port) endpoints.
-type Link = ((RouterId, PortId), (RouterId, PortId));
-
-/// The federation's own journal file under the `--state-dir` base:
-/// spanning deployments and their cross-shard wires, which no single
-/// shard's journal records.
-const FED_JOURNAL: &str = "federation.rnl";
+/// The federation's own store under the `--state-dir` base: spanning
+/// deployments and their cross-shard wires, which no single shard's
+/// journal records.
+const FED_DIR: &str = "federation";
 
 /// Trunk redial schedule ([`Backoff`]): first attempt is immediate,
 /// then delays grow `base * 2^n` up to `max`, each jittered ±20% so a
@@ -84,12 +83,13 @@ fn trunk_key(a: usize, b: usize) -> (usize, usize) {
     }
 }
 
-/// How shard journals are provisioned.
-#[derive(Debug, Clone)]
+/// How shard journals are provisioned. In file mode the federation's
+/// own log rides along; in mem mode the `Federation` value itself
+/// survives shard kills, so it has nothing to make durable.
 enum DurabilityMode {
     None,
     Mem,
-    File(PathBuf),
+    File(FileJournal),
 }
 
 /// One shard slot: the server (absent while the shard is down) plus the
@@ -242,79 +242,13 @@ impl Trunk {
 
 /// A deployment that may span shards: the per-shard sub-deployments
 /// plus the cross-shard links stitched over the trunks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FedDeployment {
     /// `(shard, local deployment id)` per participating shard.
     pub parts: Vec<(usize, DeploymentId)>,
     /// Cross-shard links; a remote route is installed on both owning
     /// shards per link.
-    pub cross: Vec<((RouterId, PortId), (RouterId, PortId))>,
-}
-
-/// Encode one federation-journal deploy record.
-fn fed_deployment_to_json(id: u64, fed: &FedDeployment) -> Json {
-    Json::obj([
-        ("op", Json::str("deploy")),
-        ("id", Json::u64_str(id)),
-        (
-            "parts",
-            Json::Arr(
-                fed.parts
-                    .iter()
-                    .map(|&(shard, part)| {
-                        Json::Arr(vec![Json::num(shard as u32), Json::u64_str(part.0)])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "cross",
-            Json::Arr(
-                fed.cross
-                    .iter()
-                    .map(|&((ar, ap), (br, bp))| {
-                        Json::Arr(vec![
-                            Json::num(ar.0),
-                            Json::num(u32::from(ap.0)),
-                            Json::num(br.0),
-                            Json::num(u32::from(bp.0)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Decode one federation-journal deploy record (`None` on any
-/// malformed field — a torn or foreign line is skipped, not fatal).
-fn fed_deployment_from_json(v: &Json) -> Option<FedDeployment> {
-    let parts = v
-        .get("parts")?
-        .as_arr()?
-        .iter()
-        .map(|p| {
-            let p = p.as_arr()?;
-            Some((
-                p.first()?.as_u64()? as usize,
-                DeploymentId(p.get(1)?.as_u64_str()?),
-            ))
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let cross = v
-        .get("cross")?
-        .as_arr()?
-        .iter()
-        .map(|l| {
-            let l = l.as_arr()?;
-            let n = |i: usize| l.get(i).and_then(Json::as_u64);
-            Some((
-                (RouterId(n(0)? as u32), PortId(n(1)? as u16)),
-                (RouterId(n(2)? as u32), PortId(n(3)? as u16)),
-            ))
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(FedDeployment { parts, cross })
+    pub cross: Vec<Link>,
 }
 
 /// A fault-contained route-server federation: `N` hash-partitioned
@@ -336,6 +270,9 @@ pub struct Federation {
     enforce_reservations: bool,
     next_fed_id: u64,
     fed_deployments: BTreeMap<u64, FedDeployment>,
+    /// Fail-stop flag: the federation log could not record a spanning
+    /// deploy or teardown.
+    crashed: bool,
     batch: FrameBatch,
     /// The latest clock reading [`Federation::poll`] or
     /// [`Federation::kill_shard`] saw; retry hints count down from it.
@@ -362,6 +299,7 @@ impl Federation {
             enforce_reservations: false,
             next_fed_id: 1,
             fed_deployments: BTreeMap::new(),
+            crashed: false,
             batch: FrameBatch::new(),
             now: Instant::EPOCH,
             m_containment_sheds: obs.counter("rnl_server_shard_containment_sheds_total", &[]),
@@ -425,11 +363,11 @@ impl Federation {
 
     /// Give every shard its own on-disk journal under
     /// `base/shard-<k>/` — the `--state-dir` layout of the sharded
-    /// `routeserver` binary. `base/federation.rnl` holds the
-    /// federation's own durable state (spanning deployments and their
-    /// cross-shard wires); it is replayed here, after every shard has
-    /// replayed its own journal, so a whole-process restart restores
-    /// the trunk half-wires that no single shard journals.
+    /// `routeserver` binary. `base/federation/` holds the federation's
+    /// own log (spanning deployments and their cross-shard wires); it is
+    /// replayed and compacted here, after every shard has replayed its
+    /// own journal, so a whole-process restart restores the trunk
+    /// half-wires that no single shard journals.
     pub fn enable_file_durability(
         &mut self,
         base: impl Into<PathBuf>,
@@ -454,63 +392,63 @@ impl Federation {
             slot.state_dir = Some(dir);
             slot.server = Some(server);
         }
-        self.durability = DurabilityMode::File(base);
-        self.replay_fed_journal();
+        let mut log = FileJournal::open(base.join(FED_DIR))?;
+        for record in log.load()?.records {
+            match Op::decode(&record)? {
+                Op::FedDeploy { id, deployment } => {
+                    self.next_fed_id = self.next_fed_id.max(id + 1);
+                    self.fed_deployments.insert(id, deployment);
+                }
+                Op::FedTeardown { id } => {
+                    self.fed_deployments.remove(&id);
+                }
+                Op::Watermarks {
+                    next_federation, ..
+                } => self.next_fed_id = self.next_fed_id.max(next_federation),
+                _ => {}
+            }
+        }
+        // Compact at boot, as a route server's recovery does.
+        let records: Vec<Vec<u8>> = self
+            .fed_deployments
+            .iter()
+            .map(|(&id, deployment)| Op::FedDeploy {
+                id,
+                deployment: deployment.clone(),
+            })
+            .chain([Op::Watermarks {
+                next_session: 0,
+                next_router: 0,
+                next_reservation: 0,
+                next_deployment: 0,
+                next_federation: self.next_fed_id,
+            }])
+            .map(|op| op.encode())
+            .collect();
+        log.write_snapshot(&records)?;
+        self.durability = DurabilityMode::File(log);
         self.reinstall_remote_routes();
         Ok(())
     }
 
-    /// Append one record to the federation journal (file mode only —
-    /// in mem mode the `Federation` value itself survives shard kills,
-    /// so there is nothing to make durable). Spanning deploys are rare
-    /// control-plane ops, so every append pays a full sync.
-    fn append_fed_journal(&self, record: &Json) {
-        let DurabilityMode::File(base) = &self.durability else {
-            return;
+    /// Journal one federation record before it takes effect (file mode
+    /// only). Spanning deploys are rare control-plane ops, so every
+    /// append pays a full sync. A failed append fail-stops the
+    /// federation, as a failed append does a single route server.
+    fn fed_log_append(&mut self, op: &Op) -> Result<(), ServerError> {
+        let DurabilityMode::File(log) = &mut self.durability else {
+            return Ok(());
         };
-        let append = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(base.join(FED_JOURNAL));
-        if let Ok(mut file) = append {
-            use std::io::Write as _;
-            let _ = file.write_all(record.encode().as_bytes());
-            let _ = file.write_all(b"\n");
-            let _ = file.sync_all();
-        }
+        log.append(&op.encode()).map(drop).map_err(|e| {
+            self.crashed = true;
+            ServerError::from(e)
+        })
     }
 
-    /// Rebuild `fed_deployments` and the id counter from
-    /// `base/federation.rnl`. A torn final line (crash mid-append) is
-    /// skipped, like the per-shard journals' torn tails.
-    fn replay_fed_journal(&mut self) {
-        let DurabilityMode::File(base) = &self.durability else {
-            return;
-        };
-        let Ok(text) = std::fs::read_to_string(base.join(FED_JOURNAL)) else {
-            return;
-        };
-        let mut max_id = 0u64;
-        for line in text.lines() {
-            let Ok(v) = Json::parse(line) else { continue };
-            let Some(id) = v.get("id").and_then(Json::as_u64_str) else {
-                continue;
-            };
-            max_id = max_id.max(id);
-            match v.get("op").and_then(Json::as_str) {
-                Some("deploy") => {
-                    let Some(fed) = fed_deployment_from_json(&v) else {
-                        continue;
-                    };
-                    self.fed_deployments.insert(id, fed);
-                }
-                Some("teardown") => {
-                    self.fed_deployments.remove(&id);
-                }
-                _ => {}
-            }
-        }
-        self.next_fed_id = self.next_fed_id.max(max_id + 1);
+    /// Whether a federation-log append failed. A crashed federation must
+    /// be discarded and rebuilt from its state directory.
+    pub fn crashed(&self) -> bool {
+        self.crashed
     }
 
     /// Re-install every live shard's half of every cross-shard wire
@@ -991,15 +929,10 @@ impl Federation {
             } else {
                 server.deploy(user, design_name, now)?
             };
-            let id = self.next_fed_id;
-            self.next_fed_id += 1;
-            let fed = FedDeployment {
+            return self.commit_fed(FedDeployment {
                 parts: vec![(home, part)],
                 cross: Vec::new(),
-            };
-            self.append_fed_journal(&fed_deployment_to_json(id, &fed));
-            self.fed_deployments.insert(id, fed);
-            return Ok(id);
+            });
         }
         let mut local_links: BTreeMap<usize, Vec<Link>> = BTreeMap::new();
         let mut cross = Vec::new();
@@ -1044,20 +977,29 @@ impl Federation {
             match placed {
                 Ok(part) => parts.push((s, part)),
                 Err(e) => {
-                    // Roll back what already landed so a half-placed
-                    // spanning deployment never lingers.
-                    for (ps, pid) in parts {
-                        if let Some(slot) = self.slots.get_mut(ps) {
-                            if let Some(server) = slot.server.as_mut() {
-                                server.teardown(pid);
-                            }
-                        }
-                    }
+                    self.roll_back(&parts);
                     return Err(e);
                 }
             }
         }
-        for &(end_a, end_b) in &cross {
+        self.commit_fed(FedDeployment { parts, cross })
+    }
+
+    /// Journal a placed spanning deployment, then stitch its cross-shard
+    /// wires and register it. Its id is spent even if the append fails,
+    /// since the record may have reached the disk.
+    fn commit_fed(&mut self, deployment: FedDeployment) -> Result<u64, ServerError> {
+        let id = self.next_fed_id;
+        self.next_fed_id += 1;
+        let op = Op::FedDeploy {
+            id,
+            deployment: deployment.clone(),
+        };
+        if let Err(e) = self.fed_log_append(&op) {
+            self.roll_back(&deployment.parts);
+            return Err(e);
+        }
+        for &(end_a, end_b) in &deployment.cross {
             let (sa, sb) = (shard_of_router(end_a.0), shard_of_router(end_b.0));
             if let Ok(server) = self.server_mut(sa) {
                 server.add_remote_route(end_a, end_b);
@@ -1066,12 +1008,18 @@ impl Federation {
                 server.add_remote_route(end_b, end_a);
             }
         }
-        let id = self.next_fed_id;
-        self.next_fed_id += 1;
-        let fed = FedDeployment { parts, cross };
-        self.append_fed_journal(&fed_deployment_to_json(id, &fed));
-        self.fed_deployments.insert(id, fed);
+        self.fed_deployments.insert(id, deployment);
         Ok(id)
+    }
+
+    /// Tear down the parts of a spanning deployment that never
+    /// registered, so a half-placed one never lingers.
+    fn roll_back(&mut self, parts: &[(usize, DeploymentId)]) {
+        for &(shard, part) in parts {
+            if let Some(server) = self.slots.get_mut(shard).and_then(|s| s.server.as_mut()) {
+                server.teardown(part);
+            }
+        }
     }
 
     /// Tear down a federation-level deployment: remove its remote
@@ -1091,6 +1039,7 @@ impl Federation {
                 });
             }
         }
+        self.fed_log_append(&Op::FedTeardown { id })?;
         for &(from, to) in &fed.cross {
             if let Ok(server) = self.server_mut(shard_of_router(from.0)) {
                 server.remove_remote_route(from);
@@ -1108,10 +1057,6 @@ impl Federation {
                 Err(_) => all = false,
             }
         }
-        self.append_fed_journal(&Json::obj([
-            ("op", Json::str("teardown")),
-            ("id", Json::u64_str(id)),
-        ]));
         self.fed_deployments.remove(&id);
         Ok(all)
     }
@@ -1140,6 +1085,15 @@ mod tests {
     fn cross_shard_rig(seed: u64) -> (Federation, Ris, Ris, u64) {
         let mut fed = Federation::new(2, seed);
         fed.enable_mem_durability(t(0)).unwrap();
+        let (ris0, ris1) = save_span_design(&mut fed, seed);
+        let fed_id = fed.deploy_spanning("user", "span", false, t(0)).unwrap();
+        (fed, ris0, ris1, fed_id)
+    }
+
+    /// Register one single-host RIS on each of shards 0 and 1, and save
+    /// the design "span" wiring the two hosts together on its home
+    /// shard.
+    fn save_span_design(fed: &mut Federation, seed: u64) -> (Ris, Ris) {
         let mut rises = Vec::new();
         for k in 0..2usize {
             let (ris_side, server_side) = mem_pair_perfect(seed + 10 + k as u64);
@@ -1161,14 +1115,12 @@ mod tests {
         d.add_device(r0);
         d.add_device(r1);
         d.connect((r0, PortId(0)), (r1, PortId(0))).unwrap();
-        // Save on the design's home shard, deploy through the
+        // Save on the design's home shard; callers deploy through the
         // federation.
         let home = fed.shard_of_principal("span").unwrap();
         fed.server_mut(home).unwrap().save_design(d);
-        let fed_id = fed.deploy_spanning("user", "span", false, t(0)).unwrap();
         let mut it = rises.into_iter();
-        let (ris0, ris1) = (it.next().unwrap(), it.next().unwrap());
-        (fed, ris0, ris1, fed_id)
+        (it.next().unwrap(), it.next().unwrap())
     }
 
     fn drive(fed: &mut Federation, ris0: &mut Ris, ris1: &mut Ris, from_ms: u64, to_ms: u64) {
@@ -1381,6 +1333,37 @@ mod tests {
         assert!(fed.teardown_fed(fed_id, t(60_000)).unwrap());
         assert_eq!(fed.server(0).unwrap().remote_route((r0, PortId(0))), None);
         assert!(fed.fed_deployment(fed_id).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A federation-log append that fails refuses the deploy and
+    /// fail-stops the federation, rather than answering ok with nothing
+    /// on disk; the parts already placed on the shards are rolled back.
+    #[test]
+    fn failed_fed_append_refuses_the_deploy() {
+        let dir = std::env::temp_dir().join(format!(
+            "rnl-fed-append-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut fed = Federation::new(2, 0xfa11);
+        fed.enable_file_durability(&dir, t(0)).unwrap();
+        let _sites = save_span_design(&mut fed, 0xfa11);
+        // A directory where the federation journal should be: every
+        // append now fails.
+        let journal = dir.join(FED_DIR).join("journal.rnl");
+        let _ = std::fs::remove_file(&journal);
+        std::fs::create_dir_all(&journal).unwrap();
+        let deployed = fed.deploy_spanning("user", "span", false, t(0));
+        assert!(
+            matches!(deployed, Err(ServerError::Durability(_))),
+            "{deployed:?}"
+        );
+        assert!(fed.crashed());
+        for k in 0..2 {
+            assert_eq!(fed.server(k).unwrap().deployments().count(), 0);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,62 +1,87 @@
-//! Serialization of the route server's durable state and of the
-//! journaled mutations that evolve it.
+//! The route server's durable log: every journaled mutation is one
+//! [`Op`], and a snapshot is the shortest `Op` sequence that rebuilds
+//! the durable state.
 //!
 //! The durable state is exactly what a restarted server must know to
-//! keep every lab alive: the session seeds (so re-registering RIS
-//! supervisors reconcile against their journaled [`SessionEpoch`]s),
-//! the inventory with its global-id high-water mark, the reservation
-//! calendar, and every live deployment with its matrix links. Volatile
-//! bookkeeping — heartbeat freshness, transport liveness, compression
-//! rings, metric values — is deliberately excluded: recovery re-derives
-//! it ("all recovered sessions start graced at recovery time").
+//! keep every lab alive: the registered sessions (so re-registering RIS
+//! supervisors reconcile against their journaled [`SessionEpoch`]s) and
+//! the inventory records they front, the reservation calendar, the saved
+//! designs, every live deployment with its matrix links, and the id
+//! high-water marks. Volatile bookkeeping — heartbeat freshness,
+//! transport liveness, compression rings, metric values — is
+//! deliberately excluded: recovery re-derives it ("all recovered
+//! sessions start graced at recovery time").
+//!
+//! A snapshot holds its ops framed exactly like journal records, so
+//! recovery is one `apply_op` loop over the snapshot's ops and then the
+//! tail's. A compacted store is one `Session` op per registered session
+//! (carrying its inventory records), then the `Reserve`, `SaveDesign`
+//! and `Deploy` ops, then one [`Op::Watermarks`] with the id counters.
+//! The federation's log (`FedDeploy`, `FedTeardown`, `Watermarks`) is
+//! the same format in a store of its own.
 //!
 //! Everything rides the hand-rolled [`Json`] codec. Object keys are
-//! `BTreeMap`-ordered and map-backed collections are sorted before
-//! encoding, so the same state always encodes to the same bytes — the
-//! property the snapshot-equivalence proptest pins down. Full-range
-//! `u64`s (epoch tokens, microsecond timestamps) travel as decimal
-//! strings because JSON numbers are `f64` here and round past 2^53.
+//! `BTreeMap`-ordered, so the same op always encodes to the same bytes.
+//! Full-range `u64`s (epoch tokens, microsecond timestamps, ids) travel
+//! as decimal strings because JSON numbers are `f64` here and round past
+//! 2^53; every narrower number is range-checked with `try_from`, never
+//! truncated.
 
 use rnl_net::time::Instant;
 use rnl_tunnel::msg::{ImageRegion, PortId, PortInfo, RouterId, RouterInfo, SessionEpoch};
 
-use crate::design::{Design, DesignStore, Link};
-use crate::inventory::{Inventory, InventoryRecord, SessionId};
+use crate::design::Link;
+use crate::inventory::SessionId;
 use crate::journal::JournalError;
 use crate::json::Json;
 use crate::matrix::DeploymentId;
-use crate::reserve::{Calendar, Reservation, ReservationId};
+use crate::reserve::ReservationId;
+use crate::shard::FedDeployment;
 
-fn bad(m: &'static str) -> JournalError {
-    JournalError::Decode(m.to_string())
+fn bad(m: impl Into<String>) -> JournalError {
+    JournalError::Decode(m.into())
 }
 
-fn instant_to_json(at: Instant) -> Json {
-    Json::u64_str(at.as_micros())
+fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, JournalError> {
+    v.get(key)
+        .ok_or_else(|| bad(format!("record missing {key}")))
 }
 
-fn instant_from_json(v: &Json) -> Result<Instant, JournalError> {
-    v.as_u64_str()
-        .map(Instant::from_micros)
-        .ok_or_else(|| bad("bad instant"))
+fn str_field(v: &Json, key: &str) -> Result<String, JournalError> {
+    field(v, key)?
+        .as_str()
+        .map(str::to_string)
+        .ok_or_else(|| bad(format!("bad {key}")))
 }
 
-fn router_id_from_json(v: &Json) -> Result<RouterId, JournalError> {
+/// A full-range `u64` carried as a decimal string.
+fn u64_field(v: &Json, key: &str) -> Result<u64, JournalError> {
+    field(v, key)?
+        .as_u64_str()
+        .ok_or_else(|| bad(format!("bad {key}")))
+}
+
+fn arr_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], JournalError> {
+    field(v, key)?
+        .as_arr()
+        .ok_or_else(|| bad(format!("{key} not an array")))
+}
+
+/// A JSON number that must fit `T`.
+fn num<T: TryFrom<u64>>(v: &Json, what: &str) -> Result<T, JournalError> {
     v.as_u64()
-        .and_then(|n| u32::try_from(n).ok())
-        .map(RouterId)
-        .ok_or_else(|| bad("bad router id"))
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| bad(format!("bad {what}")))
 }
 
 fn router_ids_to_json(routers: &[RouterId]) -> Json {
-    Json::Arr(routers.iter().map(|r| Json::num(r.0 as f64)).collect())
+    Json::Arr(routers.iter().map(|r| Json::num(r.0)).collect())
 }
 
 fn router_ids_from_json(v: &Json) -> Result<Vec<RouterId>, JournalError> {
-    v.as_arr()
-        .ok_or_else(|| bad("routers not an array"))?
+    arr_field(v, "routers")?
         .iter()
-        .map(router_id_from_json)
+        .map(|r| num(r, "router id").map(RouterId))
         .collect()
 }
 
@@ -64,27 +89,26 @@ fn router_ids_from_json(v: &Json) -> Result<Vec<RouterId>, JournalError> {
 fn link_to_json(link: &Link) -> Json {
     let ((ar, ap), (br, bp)) = *link;
     Json::Arr(vec![
-        Json::num(ar.0 as f64),
-        Json::num(f64::from(ap.0)),
-        Json::num(br.0 as f64),
-        Json::num(f64::from(bp.0)),
+        Json::num(ar.0),
+        Json::num(ap.0),
+        Json::num(br.0),
+        Json::num(bp.0),
     ])
 }
 
 fn link_from_json(v: &Json) -> Result<Link, JournalError> {
     let parts = v.as_arr().ok_or_else(|| bad("link not an array"))?;
-    if parts.len() != 4 {
+    let [ar, ap, br, bp] = parts else {
         return Err(bad("link needs 4 elements"));
-    }
-    let n = |i: usize| parts[i].as_u64().ok_or_else(|| bad("bad link element"));
+    };
     Ok((
         (
-            RouterId(u32::try_from(n(0)?).map_err(|_| bad("bad link router"))?),
-            PortId(u16::try_from(n(1)?).map_err(|_| bad("bad link port"))?),
+            RouterId(num(ar, "link router")?),
+            PortId(num(ap, "link port")?),
         ),
         (
-            RouterId(u32::try_from(n(2)?).map_err(|_| bad("bad link router"))?),
-            PortId(u16::try_from(n(3)?).map_err(|_| bad("bad link port"))?),
+            RouterId(num(br, "link router")?),
+            PortId(num(bp, "link port")?),
         ),
     ))
 }
@@ -93,12 +117,8 @@ fn links_to_json(links: &[Link]) -> Json {
     Json::Arr(links.iter().map(link_to_json).collect())
 }
 
-fn links_from_json(v: &Json) -> Result<Vec<Link>, JournalError> {
-    v.as_arr()
-        .ok_or_else(|| bad("links not an array"))?
-        .iter()
-        .map(link_from_json)
-        .collect()
+fn links_from_json(v: &Json, key: &str) -> Result<Vec<Link>, JournalError> {
+    arr_field(v, key)?.iter().map(link_from_json).collect()
 }
 
 fn port_info_to_json(port: &PortInfo) -> Json {
@@ -108,54 +128,36 @@ fn port_info_to_json(port: &PortInfo) -> Json {
         (
             "region",
             Json::Arr(vec![
-                Json::num(f64::from(port.region.x)),
-                Json::num(f64::from(port.region.y)),
-                Json::num(f64::from(port.region.w)),
-                Json::num(f64::from(port.region.h)),
+                Json::num(port.region.x),
+                Json::num(port.region.y),
+                Json::num(port.region.w),
+                Json::num(port.region.h),
             ]),
         ),
     ])
 }
 
 fn port_info_from_json(v: &Json) -> Result<PortInfo, JournalError> {
-    let region = v
-        .get("region")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("port missing region"))?;
-    if region.len() != 4 {
+    let [x, y, w, h] = arr_field(v, "region")? else {
         return Err(bad("port region needs 4 elements"));
-    }
-    let r = |i: usize| {
-        region[i]
-            .as_u64()
-            .and_then(|n| u16::try_from(n).ok())
-            .ok_or_else(|| bad("bad region element"))
     };
     Ok(PortInfo {
-        description: v
-            .get("description")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("port missing description"))?
-            .to_string(),
-        nic: v
-            .get("nic")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("port missing nic"))?
-            .to_string(),
+        description: str_field(v, "description")?,
+        nic: str_field(v, "nic")?,
         region: ImageRegion {
-            x: r(0)?,
-            y: r(1)?,
-            w: r(2)?,
-            h: r(3)?,
+            x: num(x, "region element")?,
+            y: num(y, "region element")?,
+            w: num(w, "region element")?,
+            h: num(h, "region element")?,
         },
     })
 }
 
 /// The Fig.-3 registration data, persisted so recovered inventory
 /// records are complete before the RIS even redials.
-pub fn router_info_to_json(info: &RouterInfo) -> Json {
+fn router_info_to_json(info: &RouterInfo) -> Json {
     Json::obj([
-        ("local_id", Json::num(info.local_id as f64)),
+        ("local_id", Json::num(info.local_id)),
         ("description", Json::str(&info.description)),
         ("model", Json::str(&info.model)),
         ("image", Json::str(&info.image)),
@@ -173,43 +175,19 @@ pub fn router_info_to_json(info: &RouterInfo) -> Json {
     ])
 }
 
-/// Inverse of [`router_info_to_json`].
-pub fn router_info_from_json(v: &Json) -> Result<RouterInfo, JournalError> {
+fn router_info_from_json(v: &Json) -> Result<RouterInfo, JournalError> {
     Ok(RouterInfo {
-        local_id: v
-            .get("local_id")
-            .and_then(Json::as_u64)
-            .and_then(|n| u32::try_from(n).ok())
-            .ok_or_else(|| bad("router missing local_id"))?,
-        description: v
-            .get("description")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("router missing description"))?
-            .to_string(),
-        model: v
-            .get("model")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("router missing model"))?
-            .to_string(),
-        image: v
-            .get("image")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("router missing image"))?
-            .to_string(),
-        ports: v
-            .get("ports")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("router missing ports"))?
+        local_id: num(field(v, "local_id")?, "local_id")?,
+        description: str_field(v, "description")?,
+        model: str_field(v, "model")?,
+        image: str_field(v, "image")?,
+        ports: arr_field(v, "ports")?
             .iter()
             .map(port_info_from_json)
             .collect::<Result<_, _>>()?,
         console_com: match v.get("console_com") {
             None | Some(Json::Null) => None,
-            Some(com) => Some(
-                com.as_str()
-                    .ok_or_else(|| bad("bad console_com"))?
-                    .to_string(),
-            ),
+            Some(_) => Some(str_field(v, "console_com")?),
         },
     })
 }
@@ -223,339 +201,15 @@ fn epoch_to_json(epoch: SessionEpoch) -> Json {
 
 fn epoch_from_json(v: &Json) -> Result<SessionEpoch, JournalError> {
     Ok(SessionEpoch {
-        token: v
-            .get("token")
-            .and_then(Json::as_u64_str)
-            .ok_or_else(|| bad("epoch missing token"))?,
-        generation: v
-            .get("gen")
-            .and_then(Json::as_u64_str)
-            .ok_or_else(|| bad("epoch missing gen"))?,
+        token: u64_field(v, "token")?,
+        generation: u64_field(v, "gen")?,
     })
 }
 
-/// What survives of a registered RIS session across a server crash: its
-/// id, the PC it fronts, and the epoch the supervisor will present when
-/// it redials. Recovery rebuilds each seed as a *graced placeholder*
-/// session, so the ordinary re-adoption path picks it up.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionSeed {
-    pub sid: SessionId,
-    pub pc_name: String,
-    pub epoch: SessionEpoch,
-}
-
-fn session_seed_to_json(seed: &SessionSeed) -> Json {
-    Json::obj([
-        ("sid", Json::u64_str(seed.sid.0)),
-        ("pc", Json::str(&seed.pc_name)),
-        ("epoch", epoch_to_json(seed.epoch)),
-    ])
-}
-
-fn session_seed_from_json(v: &Json) -> Result<SessionSeed, JournalError> {
-    Ok(SessionSeed {
-        sid: SessionId(
-            v.get("sid")
-                .and_then(Json::as_u64_str)
-                .ok_or_else(|| bad("session missing sid"))?,
-        ),
-        pc_name: v
-            .get("pc")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("session missing pc"))?
-            .to_string(),
-        epoch: epoch_from_json(v.get("epoch").ok_or_else(|| bad("session missing epoch"))?)?,
-    })
-}
-
-/// One live deployment with everything recovery needs to reinstall it:
-/// ownership record plus matrix links.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeploymentSeed {
-    pub id: DeploymentId,
-    pub user: String,
-    pub design_name: String,
-    pub routers: Vec<RouterId>,
-    pub links: Vec<Link>,
-}
-
-fn deployment_seed_to_json(seed: &DeploymentSeed) -> Json {
-    Json::obj([
-        ("id", Json::u64_str(seed.id.0)),
-        ("user", Json::str(&seed.user)),
-        ("design", Json::str(&seed.design_name)),
-        ("routers", router_ids_to_json(&seed.routers)),
-        ("links", links_to_json(&seed.links)),
-    ])
-}
-
-fn deployment_seed_from_json(v: &Json) -> Result<DeploymentSeed, JournalError> {
-    Ok(DeploymentSeed {
-        id: DeploymentId(
-            v.get("id")
-                .and_then(Json::as_u64_str)
-                .ok_or_else(|| bad("deployment missing id"))?,
-        ),
-        user: v
-            .get("user")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("deployment missing user"))?
-            .to_string(),
-        design_name: v
-            .get("design")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("deployment missing design"))?
-            .to_string(),
-        routers: router_ids_from_json(
-            v.get("routers")
-                .ok_or_else(|| bad("deployment missing routers"))?,
-        )?,
-        links: links_from_json(
-            v.get("links")
-                .ok_or_else(|| bad("deployment missing links"))?,
-        )?,
-    })
-}
-
-fn inventory_record_to_json(rec: &InventoryRecord) -> Json {
-    // `last_seen` is volatile liveness bookkeeping, deliberately not
-    // persisted: recovery stamps every record with recovery time.
-    Json::obj([
-        ("id", Json::num(rec.id.0 as f64)),
-        ("sid", Json::u64_str(rec.session.0)),
-        ("pc", Json::str(&rec.pc_name)),
-        ("info", router_info_to_json(&rec.info)),
-    ])
-}
-
-fn inventory_record_from_json(v: &Json, now: Instant) -> Result<InventoryRecord, JournalError> {
-    Ok(InventoryRecord {
-        id: router_id_from_json(v.get("id").ok_or_else(|| bad("record missing id"))?)?,
-        session: SessionId(
-            v.get("sid")
-                .and_then(Json::as_u64_str)
-                .ok_or_else(|| bad("record missing sid"))?,
-        ),
-        pc_name: v
-            .get("pc")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("record missing pc"))?
-            .to_string(),
-        info: router_info_from_json(v.get("info").ok_or_else(|| bad("record missing info"))?)?,
-        last_seen: now,
-    })
-}
-
-/// The inventory as JSON: the records (BTreeMap-ordered) plus the
-/// global-id high-water mark.
-pub fn inventory_to_json(inv: &Inventory) -> Json {
-    Json::obj([
-        ("next", Json::num(inv.next_id() as f64)),
-        (
-            "records",
-            Json::Arr(inv.list().map(inventory_record_to_json).collect()),
-        ),
-    ])
-}
-
-/// Inverse of [`inventory_to_json`]; `now` stamps `last_seen`.
-pub fn inventory_from_json(v: &Json, now: Instant) -> Result<Inventory, JournalError> {
-    let mut inv = Inventory::new();
-    for rec in v
-        .get("records")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("inventory missing records"))?
-    {
-        inv.restore(inventory_record_from_json(rec, now)?);
-    }
-    inv.set_next_id(
-        v.get("next")
-            .and_then(Json::as_u64)
-            .and_then(|n| u32::try_from(n).ok())
-            .ok_or_else(|| bad("inventory missing next"))?,
-    );
-    Ok(inv)
-}
-
-fn reservation_to_json(r: &Reservation) -> Json {
-    Json::obj([
-        ("id", Json::u64_str(r.id.0)),
-        ("user", Json::str(&r.user)),
-        ("routers", router_ids_to_json(&r.routers)),
-        ("start", instant_to_json(r.start)),
-        ("end", instant_to_json(r.end)),
-    ])
-}
-
-fn reservation_from_json(v: &Json) -> Result<Reservation, JournalError> {
-    Ok(Reservation {
-        id: ReservationId(
-            v.get("id")
-                .and_then(Json::as_u64_str)
-                .ok_or_else(|| bad("reservation missing id"))?,
-        ),
-        user: v
-            .get("user")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("reservation missing user"))?
-            .to_string(),
-        routers: router_ids_from_json(
-            v.get("routers")
-                .ok_or_else(|| bad("reservation missing routers"))?,
-        )?,
-        start: instant_from_json(
-            v.get("start")
-                .ok_or_else(|| bad("reservation missing start"))?,
-        )?,
-        end: instant_from_json(v.get("end").ok_or_else(|| bad("reservation missing end"))?)?,
-    })
-}
-
-/// The calendar as JSON.
-pub fn calendar_to_json(cal: &Calendar) -> Json {
-    Json::obj([
-        ("next", Json::u64_str(cal.next_id())),
-        (
-            "reservations",
-            Json::Arr(cal.iter().map(reservation_to_json).collect()),
-        ),
-    ])
-}
-
-/// Inverse of [`calendar_to_json`].
-pub fn calendar_from_json(v: &Json) -> Result<Calendar, JournalError> {
-    let mut cal = Calendar::new();
-    for r in v
-        .get("reservations")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("calendar missing reservations"))?
-    {
-        cal.restore(reservation_from_json(r)?);
-    }
-    cal.set_next_id(
-        v.get("next")
-            .and_then(Json::as_u64_str)
-            .ok_or_else(|| bad("calendar missing next"))?,
-    );
-    Ok(cal)
-}
-
-/// The full durable state, decoded from a snapshot. The caller (the
-/// server's `recover`) rebuilds the matrix from the deployment seeds
-/// and the session placeholders from the session seeds.
-#[derive(Debug)]
-pub struct RecoveredState {
-    pub next_session: u64,
-    pub sessions: Vec<SessionSeed>,
-    pub inventory: Inventory,
-    pub calendar: Calendar,
-    pub matrix_next: u64,
-    pub deployments: Vec<DeploymentSeed>,
-    /// Saved designs (absent in pre-designs snapshots: decode treats a
-    /// missing `designs` key as an empty store, so old state files
-    /// still recover).
-    pub designs: Vec<Design>,
-}
-
-/// Encode the full durable state. Deployments are sorted by id before
-/// encoding (their live container is a HashMap), so identical state
-/// always yields identical bytes.
-pub fn state_to_json(
-    next_session: u64,
-    sessions: &[SessionSeed],
-    inventory: &Inventory,
-    calendar: &Calendar,
-    matrix_next: u64,
-    deployments: &[DeploymentSeed],
-    designs: &DesignStore,
-) -> Json {
-    let mut sessions: Vec<&SessionSeed> = sessions.iter().collect();
-    sessions.sort_by_key(|s| s.sid);
-    let mut deployments: Vec<&DeploymentSeed> = deployments.iter().collect();
-    deployments.sort_by_key(|d| d.id);
-    Json::obj([
-        ("calendar", calendar_to_json(calendar)),
-        (
-            "deployments",
-            Json::Arr(
-                deployments
-                    .iter()
-                    .map(|d| deployment_seed_to_json(d))
-                    .collect(),
-            ),
-        ),
-        (
-            // Store iteration is BTreeMap-ordered by name: deterministic.
-            "designs",
-            Json::Arr(
-                designs
-                    .names()
-                    .filter_map(|name| designs.load(name))
-                    .map(|d| d.to_json())
-                    .collect(),
-            ),
-        ),
-        ("inventory", inventory_to_json(inventory)),
-        ("matrix_next", Json::u64_str(matrix_next)),
-        ("next_session", Json::u64_str(next_session)),
-        (
-            "sessions",
-            Json::Arr(sessions.iter().map(|s| session_seed_to_json(s)).collect()),
-        ),
-        ("version", Json::num(1)),
-    ])
-}
-
-/// Inverse of [`state_to_json`].
-pub fn state_from_json(v: &Json, now: Instant) -> Result<RecoveredState, JournalError> {
-    Ok(RecoveredState {
-        next_session: v
-            .get("next_session")
-            .and_then(Json::as_u64_str)
-            .ok_or_else(|| bad("state missing next_session"))?,
-        sessions: v
-            .get("sessions")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("state missing sessions"))?
-            .iter()
-            .map(session_seed_from_json)
-            .collect::<Result<_, _>>()?,
-        inventory: inventory_from_json(
-            v.get("inventory")
-                .ok_or_else(|| bad("state missing inventory"))?,
-            now,
-        )?,
-        calendar: calendar_from_json(
-            v.get("calendar")
-                .ok_or_else(|| bad("state missing calendar"))?,
-        )?,
-        matrix_next: v
-            .get("matrix_next")
-            .and_then(Json::as_u64_str)
-            .ok_or_else(|| bad("state missing matrix_next"))?,
-        deployments: v
-            .get("deployments")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("state missing deployments"))?
-            .iter()
-            .map(deployment_seed_from_json)
-            .collect::<Result<_, _>>()?,
-        designs: match v.get("designs") {
-            // Pre-designs snapshots have no key: empty store.
-            None => Vec::new(),
-            Some(arr) => arr
-                .as_arr()
-                .ok_or_else(|| bad("designs not an array"))?
-                .iter()
-                .map(|d| Design::from_json(d).map_err(|e| JournalError::Decode(e.to_string())))
-                .collect::<Result<_, _>>()?,
-        },
-    })
-}
-
-/// One journaled state mutation. Applying the snapshot and then every
-/// op in order reconstructs the exact pre-crash durable state.
+/// One durable-log record. Live mutations append one op each; a
+/// snapshot is the op sequence that rebuilds the state it compacts.
+/// Applying a snapshot's ops and then the tail's, in order,
+/// reconstructs the exact pre-crash durable state.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// A RIS registered (fresh) or re-adopted a graced session
@@ -595,6 +249,21 @@ pub enum Op {
     SaveDesign { design: Json },
     /// A design deleted.
     DeleteDesign { name: String },
+    /// The id counters a compaction would otherwise lose (ids are never
+    /// reused, so a torn-down deployment's id must stay spent). The last
+    /// op of every snapshot. `next_federation` is the federation log's
+    /// next spanning-deployment id, 0 in a route server's own log.
+    Watermarks {
+        next_session: u64,
+        next_router: u32,
+        next_reservation: u64,
+        next_deployment: u64,
+        next_federation: u64,
+    },
+    /// A spanning deployment registered (federation log only).
+    FedDeploy { id: u64, deployment: FedDeployment },
+    /// A spanning deployment torn down (federation log only).
+    FedTeardown { id: u64 },
 }
 
 impl Op {
@@ -626,7 +295,7 @@ impl Op {
                             .iter()
                             .map(|(id, info)| {
                                 Json::obj([
-                                    ("id", Json::num(id.0 as f64)),
+                                    ("id", Json::num(id.0)),
                                     ("info", router_info_to_json(info)),
                                 ])
                             })
@@ -648,8 +317,8 @@ impl Op {
                 ("id", Json::u64_str(id.0)),
                 ("user", Json::str(user)),
                 ("routers", router_ids_to_json(routers)),
-                ("start", instant_to_json(*start)),
-                ("end", instant_to_json(*end)),
+                ("start", Json::u64_str(start.as_micros())),
+                ("end", Json::u64_str(end.as_micros())),
             ]),
             Op::Cancel { id } => {
                 Json::obj([("op", Json::str("cancel")), ("id", Json::u64_str(id.0))])
@@ -678,115 +347,142 @@ impl Op {
                 ("op", Json::str("delete_design")),
                 ("name", Json::str(name)),
             ]),
+            Op::Watermarks {
+                next_session,
+                next_router,
+                next_reservation,
+                next_deployment,
+                next_federation,
+            } => Json::obj([
+                ("op", Json::str("watermarks")),
+                ("session", Json::u64_str(*next_session)),
+                ("router", Json::num(*next_router)),
+                ("reservation", Json::u64_str(*next_reservation)),
+                ("deployment", Json::u64_str(*next_deployment)),
+                ("federation", Json::u64_str(*next_federation)),
+            ]),
+            Op::FedDeploy { id, deployment } => Json::obj([
+                ("op", Json::str("fed_deploy")),
+                ("id", Json::u64_str(*id)),
+                (
+                    "parts",
+                    Json::Arr(
+                        deployment
+                            .parts
+                            .iter()
+                            .map(|&(shard, part)| {
+                                Json::Arr(vec![Json::num(shard as f64), Json::u64_str(part.0)])
+                            })
+                            .collect(),
+                    ),
+                ),
+                ("cross", links_to_json(&deployment.cross)),
+            ]),
+            Op::FedTeardown { id } => Json::obj([
+                ("op", Json::str("fed_teardown")),
+                ("id", Json::u64_str(*id)),
+            ]),
         }
     }
 
     /// Decode one journal-record payload.
     pub fn from_json(v: &Json) -> Result<Op, JournalError> {
-        let kind = v
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("record missing op"))?;
-        let sid = || {
-            v.get("sid")
-                .and_then(Json::as_u64_str)
-                .map(SessionId)
-                .ok_or_else(|| bad("record missing sid"))
-        };
-        match kind {
+        let instant = |key| u64_field(v, key).map(Instant::from_micros);
+        match field(v, "op")?.as_str().ok_or_else(|| bad("bad op"))? {
             "session" => Ok(Op::Session {
-                sid: sid()?,
-                pc_name: v
-                    .get("pc")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("session missing pc"))?
-                    .to_string(),
-                epoch: epoch_from_json(
-                    v.get("epoch").ok_or_else(|| bad("session missing epoch"))?,
-                )?,
+                sid: SessionId(u64_field(v, "sid")?),
+                pc_name: str_field(v, "pc")?,
+                epoch: epoch_from_json(field(v, "epoch")?)?,
                 replaces: match v.get("replaces") {
                     None | Some(Json::Null) => None,
-                    Some(old) => Some(SessionId(
-                        old.as_u64_str().ok_or_else(|| bad("bad replaces"))?,
-                    )),
+                    Some(_) => Some(SessionId(u64_field(v, "replaces")?)),
                 },
-                routers: v
-                    .get("routers")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad("session missing routers"))?
+                routers: arr_field(v, "routers")?
                     .iter()
                     .map(|entry| {
                         Ok((
-                            router_id_from_json(
-                                entry
-                                    .get("id")
-                                    .ok_or_else(|| bad("assignment missing id"))?,
-                            )?,
-                            router_info_from_json(
-                                entry
-                                    .get("info")
-                                    .ok_or_else(|| bad("assignment missing info"))?,
-                            )?,
+                            RouterId(num(field(entry, "id")?, "router id")?),
+                            router_info_from_json(field(entry, "info")?)?,
                         ))
                     })
                     .collect::<Result<_, JournalError>>()?,
             }),
-            "reap" => Ok(Op::Reap { sid: sid()? }),
-            "reserve" => {
-                let r = reservation_from_json(v)?;
-                Ok(Op::Reserve {
-                    id: r.id,
-                    user: r.user,
-                    routers: r.routers,
-                    start: r.start,
-                    end: r.end,
-                })
-            }
-            "cancel" => Ok(Op::Cancel {
-                id: ReservationId(
-                    v.get("id")
-                        .and_then(Json::as_u64_str)
-                        .ok_or_else(|| bad("cancel missing id"))?,
-                ),
+            "reap" => Ok(Op::Reap {
+                sid: SessionId(u64_field(v, "sid")?),
             }),
-            "deploy" => {
-                let d = deployment_seed_from_json(v)?;
-                Ok(Op::Deploy {
-                    id: d.id,
-                    user: d.user,
-                    design_name: d.design_name,
-                    routers: d.routers,
-                    links: d.links,
-                })
-            }
+            "reserve" => Ok(Op::Reserve {
+                id: ReservationId(u64_field(v, "id")?),
+                user: str_field(v, "user")?,
+                routers: router_ids_from_json(v)?,
+                start: instant("start")?,
+                end: instant("end")?,
+            }),
+            "cancel" => Ok(Op::Cancel {
+                id: ReservationId(u64_field(v, "id")?),
+            }),
+            "deploy" => Ok(Op::Deploy {
+                id: DeploymentId(u64_field(v, "id")?),
+                user: str_field(v, "user")?,
+                design_name: str_field(v, "design")?,
+                routers: router_ids_from_json(v)?,
+                links: links_from_json(v, "links")?,
+            }),
             "teardown" => Ok(Op::Teardown {
-                id: DeploymentId(
-                    v.get("id")
-                        .and_then(Json::as_u64_str)
-                        .ok_or_else(|| bad("teardown missing id"))?,
-                ),
+                id: DeploymentId(u64_field(v, "id")?),
             }),
             "save_design" => Ok(Op::SaveDesign {
-                design: v
-                    .get("design")
-                    .ok_or_else(|| bad("save_design missing design"))?
-                    .clone(),
+                design: field(v, "design")?.clone(),
             }),
             "delete_design" => Ok(Op::DeleteDesign {
-                name: v
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("delete_design missing name"))?
-                    .to_string(),
+                name: str_field(v, "name")?,
+            }),
+            "watermarks" => Ok(Op::Watermarks {
+                next_session: u64_field(v, "session")?,
+                next_router: num(field(v, "router")?, "router watermark")?,
+                next_reservation: u64_field(v, "reservation")?,
+                next_deployment: u64_field(v, "deployment")?,
+                next_federation: u64_field(v, "federation")?,
+            }),
+            "fed_deploy" => Ok(Op::FedDeploy {
+                id: u64_field(v, "id")?,
+                deployment: FedDeployment {
+                    parts: arr_field(v, "parts")?
+                        .iter()
+                        .map(|p| match p.as_arr() {
+                            Some([shard, part]) => Ok((
+                                num(shard, "shard")?,
+                                DeploymentId(part.as_u64_str().ok_or_else(|| bad("bad part"))?),
+                            )),
+                            _ => Err(bad("part needs 2 elements")),
+                        })
+                        .collect::<Result<_, _>>()?,
+                    cross: links_from_json(v, "cross")?,
+                },
+            }),
+            "fed_teardown" => Ok(Op::FedTeardown {
+                id: u64_field(v, "id")?,
             }),
             _ => Err(bad("unknown op")),
         }
+    }
+
+    /// Encode as the bytes of one framed record.
+    pub fn encode(&self) -> Vec<u8> {
+        self.to_json().encode().into_bytes()
+    }
+
+    /// Decode the bytes of one framed record.
+    pub fn decode(payload: &[u8]) -> Result<Op, JournalError> {
+        let text = std::str::from_utf8(payload).map_err(|_| bad("record is not UTF-8"))?;
+        let json = Json::parse(text).map_err(|e| bad(format!("record: {e}")))?;
+        Op::from_json(&json)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::design::Design;
     use rnl_net::time::Duration;
 
     fn t(ms: u64) -> Instant {
@@ -857,87 +553,47 @@ mod tests {
             Op::DeleteDesign {
                 name: "probe".to_string(),
             },
+            Op::Watermarks {
+                next_session: 4,
+                next_router: 4097,
+                next_reservation: 6,
+                next_deployment: u64::MAX - 1,
+                next_federation: 3,
+            },
+            Op::FedDeploy {
+                id: 2,
+                deployment: FedDeployment {
+                    parts: vec![(0, DeploymentId(0)), (1, DeploymentId(5))],
+                    cross: vec![((RouterId(0), PortId(0)), (RouterId(4096), PortId(1)))],
+                },
+            },
+            Op::FedTeardown { id: 2 },
         ];
         for op in ops {
-            let encoded = op.to_json().encode();
-            let parsed = Json::parse(&encoded).unwrap();
-            assert_eq!(Op::from_json(&parsed).unwrap(), op, "via {encoded}");
+            let encoded = op.encode();
+            assert_eq!(
+                Op::decode(&encoded).unwrap(),
+                op,
+                "via {}",
+                String::from_utf8_lossy(&encoded)
+            );
         }
     }
 
+    /// Links are range-checked, never truncated: port 70000 is not
+    /// port 4464, and router 2^32 + 5 is not router 5.
     #[test]
-    fn state_roundtrips_and_encodes_deterministically() {
-        let mut inv = Inventory::new();
-        inv.register(SessionId(0), "pc-a", info(0), t(5));
-        inv.register(SessionId(0), "pc-a", info(1), t(5));
-        let mut cal = Calendar::new();
-        cal.reserve("alice", &[RouterId(0), RouterId(1)], t(0), t(5_000))
-            .unwrap();
-        let sessions = vec![SessionSeed {
-            sid: SessionId(0),
-            pc_name: "pc-a".to_string(),
-            epoch: SessionEpoch {
-                token: 0xdead_beef_dead_beef,
-                generation: 1,
-            },
-        }];
-        let deployments = vec![DeploymentSeed {
-            id: DeploymentId(0),
-            user: "alice".to_string(),
-            design_name: "pair".to_string(),
-            routers: vec![RouterId(0), RouterId(1)],
-            links: vec![((RouterId(0), PortId(0)), (RouterId(1), PortId(0)))],
-        }];
-        let mut designs = DesignStore::new();
-        let mut pair = Design::new("pair");
-        pair.add_device(RouterId(0));
-        pair.add_device(RouterId(1));
-        pair.connect((RouterId(0), PortId(0)), (RouterId(1), PortId(0)))
-            .unwrap();
-        designs.save(pair.clone());
-        let json = state_to_json(1, &sessions, &inv, &cal, 1, &deployments, &designs);
-        let encoded = json.encode();
-        let state = state_from_json(&Json::parse(&encoded).unwrap(), t(9_999)).unwrap();
-        assert_eq!(state.next_session, 1);
-        assert_eq!(state.sessions, sessions);
-        assert_eq!(state.matrix_next, 1);
-        assert_eq!(state.deployments, deployments);
-        assert_eq!(state.designs, vec![pair]);
-        assert_eq!(state.inventory.len(), 2);
-        assert_eq!(state.inventory.next_id(), 2);
-        assert_eq!(
-            state.inventory.get(RouterId(1)).unwrap().last_seen,
-            t(9_999)
-        );
-        assert_eq!(state.calendar.len(), 1);
-        assert_eq!(state.calendar.next_id(), 1);
-        // Re-encoding the recovered state yields byte-identical JSON.
-        let mut store_again = DesignStore::new();
-        for d in &state.designs {
-            store_again.save(d.clone());
+    fn out_of_range_link_ends_are_refused() {
+        let record = |link: &str| {
+            format!(r#"{{"op":"fed_deploy","id":"1","parts":[[0,"0"]],"cross":[{link}]}}"#)
+        };
+        assert!(Op::decode(record("[0,0,4096,1]").as_bytes()).is_ok());
+        for link in ["[0,0,4096,70000]", "[4294967301,0,4096,1]"] {
+            let decoded = Op::decode(record(link).as_bytes());
+            assert!(
+                matches!(decoded, Err(JournalError::Decode(_))),
+                "{link} decoded as {decoded:?}"
+            );
         }
-        let again = state_to_json(
-            state.next_session,
-            &state.sessions,
-            &state.inventory,
-            &state.calendar,
-            state.matrix_next,
-            &state.deployments,
-            &store_again,
-        );
-        assert_eq!(again.encode(), encoded);
-    }
-
-    /// A snapshot written before designs joined the durable state (no
-    /// `designs` key at all) still decodes: the store just starts empty.
-    #[test]
-    fn pre_designs_snapshots_still_decode() {
-        let inv = Inventory::new();
-        let cal = Calendar::new();
-        let json = state_to_json(0, &[], &inv, &cal, 0, &[], &DesignStore::new());
-        // Strip the designs key to fake an old snapshot.
-        let encoded = json.encode().replace("\"designs\":[],", "");
-        let state = state_from_json(&Json::parse(&encoded).unwrap(), t(0)).unwrap();
-        assert!(state.designs.is_empty());
     }
 }

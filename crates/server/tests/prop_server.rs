@@ -1,20 +1,186 @@
 //! Property tests on the back-end data structures: the JSON codec, the
 //! design interchange format, the reservation calendar's no-overlap
 //! invariant, the routing matrix's symmetry/exclusivity invariants, and
-//! the write-ahead journal's replay fidelity.
+//! the durable log's replay fidelity for a route server and for a
+//! federation.
+
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use rnl_device::host::Host;
 use rnl_net::time::{Duration, Instant};
 use rnl_ris::Ris;
 use rnl_server::design::Design;
-use rnl_server::journal::MemJournal;
+use rnl_server::journal::{
+    frame_record, CrashPoint, Durability, FileJournal, JournalError, MemJournal, Recovered,
+};
 use rnl_server::json::Json;
 use rnl_server::matrix::RoutingMatrix;
 use rnl_server::reserve::Calendar;
+use rnl_server::shard::{FedDeployment, Federation};
 use rnl_server::RouteServer;
 use rnl_tunnel::msg::{PortId, RouterId};
 use rnl_tunnel::transport::mem_pair_perfect;
+
+fn t(ms: u64) -> Instant {
+    Instant::EPOCH + Duration::from_millis(ms)
+}
+
+/// A journal that writes every record twice: `compacted` takes every
+/// snapshot, `full` only the first, so it keeps the whole op log.
+struct Tee {
+    compacted: MemJournal,
+    full: MemJournal,
+    full_has_snapshot: bool,
+}
+
+impl Durability for Tee {
+    fn append(&mut self, payload: &[u8]) -> Result<usize, JournalError> {
+        self.full.append(payload)?;
+        self.compacted.append(payload)
+    }
+
+    fn write_snapshot(&mut self, records: &[Vec<u8>]) -> Result<(), JournalError> {
+        if !self.full_has_snapshot {
+            self.full.write_snapshot(records)?;
+            self.full_has_snapshot = true;
+        }
+        self.compacted.write_snapshot(records)
+    }
+
+    fn load(&mut self) -> Result<Recovered, JournalError> {
+        self.compacted.load()
+    }
+
+    fn arm_crash(&mut self, point: Option<CrashPoint>) {
+        self.compacted.arm_crash(point);
+    }
+}
+
+/// The durable state read back through the server's accessors rather
+/// than through `durable_state()`, so a snapshot that loses something is
+/// caught even though the live server would encode the loss too.
+fn state_view(server: &RouteServer) -> String {
+    let inventory: Vec<_> = server
+        .inventory()
+        .list()
+        .map(|r| (r.id, r.session, &r.pc_name, &r.info))
+        .collect();
+    let calendar: Vec<_> = server.calendar().iter().collect();
+    let mut deployments: Vec<_> = server
+        .deployments()
+        .map(|d| (d, server.matrix().links_of(d.id)))
+        .collect();
+    deployments.sort_by_key(|(d, _)| d.id);
+    let designs: Vec<_> = server
+        .designs()
+        .names()
+        .map(|name| server.designs().load(name))
+        .collect();
+    format!("{inventory:?}\n{calendar:?}\n{deployments:?}\n{designs:?}")
+}
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "rnl-prop-{tag}-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Spanning designs of the federation property: each pairs a router of
+/// shard 0 with one of shard 1, so deploying two that share a router
+/// fails harmlessly.
+const FED_DESIGNS: [(usize, usize); 3] = [(0, 2), (1, 3), (0, 3)];
+
+/// A two-shard file-durable federation over `dir`. On a fresh `dir`,
+/// two single-host sites register on each shard and the
+/// [`FED_DESIGNS`] are saved on their home shards; a used `dir` is
+/// simply recovered.
+fn boot_federation(dir: &Path, fresh: bool) -> Federation {
+    let mut fed = Federation::new(2, 0xfeed);
+    fed.enable_file_durability(dir, t(0)).unwrap();
+    if !fresh {
+        return fed;
+    }
+    let mut routers = Vec::new();
+    for i in 0u64..4 {
+        let shard = (i / 2) as usize;
+        let (ris_side, server_side) = mem_pair_perfect(300 + i);
+        fed.attach_to(shard, Box::new(server_side)).unwrap();
+        let mut ris = Ris::new(&format!("fpc{i}"), Box::new(ris_side));
+        let mut h = Host::new(&format!("fh{i}"), 80 + i as u32);
+        h.set_ip(format!("10.2.0.{}/24", i + 1).parse().unwrap());
+        ris.add_device(Box::new(h), "prop host");
+        ris.join_labs(t(0)).unwrap();
+        fed.poll(t(0));
+        ris.poll(t(0)).unwrap();
+        routers.push(ris.router_id(0).unwrap());
+    }
+    for (i, &(a, b)) in FED_DESIGNS.iter().enumerate() {
+        let name = format!("span{i}");
+        let mut d = Design::new(&name);
+        d.add_device(routers[a]);
+        d.add_device(routers[b]);
+        d.connect((routers[a], PortId(0)), (routers[b], PortId(0)))
+            .unwrap();
+        let home = fed.shard_of_principal(&name).unwrap();
+        fed.server_mut(home).unwrap().save_design(d);
+    }
+    fed
+}
+
+/// Every federation deployment with an id below `upto`.
+fn fed_view(fed: &Federation, upto: u64) -> Vec<(u64, FedDeployment)> {
+    (0..upto)
+        .filter_map(|id| fed.fed_deployment(id).map(|d| (id, d.clone())))
+        .collect()
+}
+
+/// Run `ops` (deploy design `pick`, or tear down the newest live
+/// deployment) against a federation over `dir`, rebooting it — which
+/// compacts its log — before op `restart_at`. Returns the federation and
+/// every id it handed out.
+fn run_federation(dir: &Path, ops: &[(bool, u8)], restart_at: usize) -> (Federation, Vec<u64>) {
+    let mut fed = boot_federation(dir, true);
+    let mut issued = Vec::new();
+    let mut live = Vec::new();
+    for (i, &(deploy, pick)) in ops.iter().enumerate() {
+        if i == restart_at {
+            drop(fed);
+            fed = boot_federation(dir, false);
+        }
+        let now = t(1_000 + i as u64);
+        if deploy {
+            let name = format!("span{}", pick as usize % FED_DESIGNS.len());
+            if let Ok(id) = fed.deploy_spanning("u", &name, true, now) {
+                issued.push(id);
+                live.push(id);
+            }
+        } else if let Some(id) = live.pop() {
+            assert!(fed.teardown_fed(id, now).unwrap());
+        }
+        assert!(!fed.crashed());
+    }
+    (fed, issued)
+}
+
+/// A store written by the version-1 format is refused with an error
+/// naming that version, not misread.
+#[test]
+fn version_one_store_is_refused() {
+    let dir = scratch_dir("v1");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut record = frame_record(br#"{"version":1}"#);
+    record[0] = 1;
+    std::fs::write(dir.join("snapshot.rnl"), record).unwrap();
+    let refused = RouteServer::recover(Box::new(FileJournal::open(&dir).unwrap()), t(0));
+    let message = refused.err().map(|e| e.to_string()).unwrap_or_default();
+    assert!(message.contains("version 1"), "{message:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
 fn arb_json(depth: u32) -> BoxedStrategy<Json> {
     let leaf = prop_oneof![
@@ -155,15 +321,17 @@ proptest! {
 
     /// The durability contract: for an arbitrary sequence of journaled
     /// mutations (reserve, cancel, deploy, teardown, compact) against a
-    /// real server with registered sessions, replaying the journal
-    /// reconstructs byte-identical durable state.
+    /// real server with registered sessions, and a snapshot at any step
+    /// k, recover(snapshot@k + tail) == recover(full log) == live, byte
+    /// for byte.
     #[test]
     fn journal_replay_reconstructs_identical_state(
         ops in proptest::collection::vec((0u8..5, 0u8..8, 1u64..48), 0..30),
+        k in 0usize..30,
     ) {
-        let t = |ms: u64| Instant::EPOCH + Duration::from_millis(ms);
-        let wal = MemJournal::new();
-        let store = wal.store();
+        let (compacted, full) = (MemJournal::new(), MemJournal::new());
+        let (compacted_store, full_store) = (compacted.store(), full.store());
+        let wal = Tee { compacted, full, full_has_snapshot: false };
         let mut server = RouteServer::new();
         server.set_enforce_reservations(false);
         server.set_durability(Box::new(wal), t(0)).unwrap();
@@ -201,6 +369,9 @@ proptest! {
         let mut live_deps = Vec::new();
         for (i, (op, pick, span)) in ops.into_iter().enumerate() {
             let now = t(1_000 + i as u64);
+            if i == k {
+                server.snapshot_now(now).unwrap();
+            }
             match op {
                 0 => {
                     // Conflicting reservations fail and journal nothing.
@@ -235,10 +406,49 @@ proptest! {
             prop_assert!(!server.crashed());
         }
 
-        let live = server.durable_state().encode();
+        let (live, live_view) = (server.durable_state().encode(), state_view(&server));
         drop(server);
-        let recovered =
-            RouteServer::recover(Box::new(MemJournal::attached(store)), t(999_999)).unwrap();
-        prop_assert_eq!(recovered.durable_state().encode(), live);
+        for store in [compacted_store, full_store] {
+            let recovered =
+                RouteServer::recover(Box::new(MemJournal::attached(store)), t(999_999)).unwrap();
+            prop_assert_eq!(recovered.durable_state().encode(), live.clone());
+            prop_assert_eq!(state_view(&recovered), live_view.clone());
+        }
+    }
+
+    /// The same contract for the federation's own log: for any sequence
+    /// of spanning deploys and teardowns, with the log compacted (by a
+    /// reboot) before any step k, the recovered federation equals the
+    /// live one and equals a run whose log was never compacted — and a
+    /// federation id, once handed out, is never handed out again.
+    #[test]
+    fn federation_log_replay_reconstructs_identical_state(
+        ops in proptest::collection::vec((any::<bool>(), 0u8..3), 0..10),
+        k in 0usize..10,
+    ) {
+        let (dir_k, dir_full) = (scratch_dir("fed-k"), scratch_dir("fed-full"));
+        let (fed_k, issued) = run_federation(&dir_k, &ops, k);
+        let (fed_full, _) = run_federation(&dir_full, &ops, usize::MAX);
+        let upto = issued.iter().max().map_or(1, |&id| id + 1);
+        let live = fed_view(&fed_k, upto);
+        prop_assert_eq!(&fed_view(&fed_full, upto), &live);
+        drop((fed_k, fed_full));
+        let mut fed = boot_federation(&dir_k, false);
+        prop_assert_eq!(&fed_view(&fed, upto), &live);
+        prop_assert_eq!(&fed_view(&boot_federation(&dir_full, false), upto), &live);
+
+        // Tear everything down, compact that away, deploy again: the new
+        // id is fresh.
+        for (id, _) in &live {
+            prop_assert!(fed.teardown_fed(*id, t(90_000)).unwrap());
+        }
+        drop(fed);
+        let mut fed = boot_federation(&dir_k, false);
+        let id = fed.deploy_spanning("u", "span0", true, t(91_000)).unwrap();
+        prop_assert!(issued.iter().all(|&old| id > old), "id {} reissued from {:?}", id, issued);
+        drop(fed);
+        for dir in [dir_k, dir_full] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }
